@@ -157,9 +157,12 @@ def _name_table(overrides: str | None):
 
 def _ingest_one(path_text: str, overrides: str | None):
     """Per-file worker: parse, tally, return a one-article ledger delta."""
-    path = Path(path_text)
     try:
-        parsed = parse_article(path.read_bytes(), source=path_text)
+        data = Path(path_text).read_bytes()
+    except OSError as exc:
+        return path_text, None, {}, [f"{path_text}: cannot read file: {exc.strerror or exc}"]
+    try:
+        parsed = parse_article(data, source=path_text)
     except JatsError as exc:
         return path_text, None, {}, [str(exc)]
     counts = {"documents": 1}
@@ -390,7 +393,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     share_source = share_by_field(ledger, field_map, "source-field")
     share_target = share_by_field(ledger, field_map, "target-field")
-    anchored = {s: anchored_subset_geomeans(ledger, field_map, s) for s in SECTION_ORDER}
+    anchored = anchored_subset_geomeans(ledger, field_map)
     correlations = correlation_tables(ledger, field_map, year)
     top = top_share_articles(ledger, min_total=min_total, k=2)
 

@@ -73,16 +73,6 @@ class SectionTree:
 
     nodes: Mapping[str, SectionNode]
     roots: tuple[str, ...]
-    parent: Mapping[str, str | None]
-
-    def outer_of(self, node_id: str) -> str:
-        """Depth-1 ancestor of a node (the node itself at depth 1)."""
-        current = node_id
-        while self.nodes[current].depth > 1:
-            above = self.parent[current]
-            assert above is not None
-            current = above
-        return current
 
 
 @dataclass(frozen=True)
@@ -109,10 +99,14 @@ class InTextCitation:
 
 @dataclass(frozen=True)
 class RawMarker:
-    """A marker before expansion: alternating ref-id / separator tokens."""
+    """A marker before expansion: alternating ref-id / separator tokens.
+
+    outer_node_id is the depth-1 section enclosing the marker, None outside
+    any body section.
+    """
 
     tokens: tuple[str, ...]
-    enclosing_node_id: str | None
+    outer_node_id: str | None
     char_offset: int
 
 
@@ -204,7 +198,6 @@ def expand_citation_list(
 
 
 def locate_in_text_citations(
-    tree: SectionTree,
     markers: Iterable[RawMarker],
     ref_order: Sequence[str],
 ) -> tuple[list[InTextCitation], list[str]]:
@@ -229,10 +222,7 @@ def locate_in_text_citations(
         except ExpansionError as exc:
             issues.append(f"citation skipped: {exc}")
             continue
-        outer = None
-        if marker.enclosing_node_id is not None:
-            outer = tree.outer_of(marker.enclosing_node_id)
-        citations.append(InTextCitation(outer, ref_ids, marker.char_offset))
+        citations.append(InTextCitation(marker.outer_node_id, ref_ids, marker.char_offset))
     return citations, issues
 
 
@@ -322,13 +312,10 @@ class _BodyWalker:
 
     def __init__(self, ref_ids: set[str]):
         self.ref_ids = ref_ids
-        self.nodes: dict[str, SectionNode] = {}
         self.roots: list[str] = []
-        self.parent: dict[str, str | None] = {}
-        self._draft_children: dict[str, list[str]] = {}
-        self._sec_types: dict[str, str | None] = {}
-        self._sec_titles: dict[str, str | None] = {}
-        self._stack: list[str] = []
+        # node id -> (depth, sec-type, title, child ids)
+        self._drafts: dict[str, tuple[int, str | None, str | None, list[str]]] = {}
+        self._stack: list[str] = []  # open sections; _stack[0] is the outer one
         self._in_body = 0
         self._counter = 0
         self._char_pos = 0
@@ -383,15 +370,12 @@ class _BodyWalker:
         self._counter += 1
         node_id = f"s{self._counter}"
         title_elem = _first_local(elem, "title")
-        self._sec_types[node_id] = elem.get("sec-type")
-        self._sec_titles[node_id] = _itertext(title_elem) if title_elem is not None else None
-        self._draft_children[node_id] = []
+        title = _itertext(title_elem) if title_elem is not None else None
+        self._drafts[node_id] = (len(self._stack) + 1, elem.get("sec-type"), title, [])
         if self._stack:
-            self._draft_children[self._stack[-1]].append(node_id)
-            self.parent[node_id] = self._stack[-1]
+            self._drafts[self._stack[-1]][3].append(node_id)
         else:
             self.roots.append(node_id)
-            self.parent[node_id] = None
         self._stack.append(node_id)
 
     def _text(self, text: str | None) -> None:
@@ -413,8 +397,8 @@ class _BodyWalker:
                 self._flush()
         if self._open is None:
             self._open = []
-            enclosing = self._stack[-1] if self._stack else None
-            self._open_at = (enclosing, self._char_pos)
+            outer = self._stack[0] if self._stack else None
+            self._open_at = (outer, self._char_pos)
         for i, rid in enumerate(rids):
             if i:
                 self._open.append(LIST_SEPARATOR)
@@ -423,31 +407,24 @@ class _BodyWalker:
 
     def _flush(self) -> None:
         if self._open is not None and self._open:
-            enclosing, offset = self._open_at  # type: ignore[misc]
-            self.markers.append(RawMarker(tuple(self._open), enclosing, offset))
+            outer, offset = self._open_at  # type: ignore[misc]
+            self.markers.append(RawMarker(tuple(self._open), outer, offset))
         self._open = None
         self._open_at = None
         self._gap = []
 
     def tree(self) -> SectionTree:
-        nodes = {}
-        depths: dict[str, int] = {}
-        for root_id in self.roots:
-            stack = [(root_id, 1)]
-            while stack:
-                node_id, depth = stack.pop()
-                depths[node_id] = depth
-                for child in self._draft_children[node_id]:
-                    stack.append((child, depth + 1))
-        for node_id, children in self._draft_children.items():
-            nodes[node_id] = SectionNode(
+        nodes = {
+            node_id: SectionNode(
                 node_id=node_id,
-                depth=depths[node_id],
-                sec_type=self._sec_types[node_id],
-                title_raw=self._sec_titles[node_id],
+                depth=depth,
+                sec_type=sec_type,
+                title_raw=title,
                 children=tuple(children),
             )
-        return SectionTree(nodes=nodes, roots=tuple(self.roots), parent=dict(self.parent))
+            for node_id, (depth, sec_type, title, children) in self._drafts.items()
+        }
+        return SectionTree(nodes=nodes, roots=tuple(self.roots))
 
 
 def _byte_offset(data: bytes, line: int, column: int) -> int:
@@ -469,7 +446,8 @@ def parse_article(data: bytes, source: str = "<bytes>") -> ParsedArticle:
     """Parse one JATS article file into a ParsedArticle.
 
     Raises XmlParseError for malformed XML (with an approximate byte offset)
-    and ArticleStructureError when the article metadata block is missing.
+    and ArticleStructureError when the article metadata block is missing or
+    the body nests elements too deeply to walk.
     Input is treated as UTF-8; undecodable bytes are replaced and noted as an
     issue rather than failing the file.
     """
@@ -502,9 +480,10 @@ def parse_article(data: bytes, source: str = "<bytes>") -> ParsedArticle:
             if name == "journal-title" and not journal_title:
                 journal_title = _itertext(elem)
             elif name == "issn":
-                value = _itertext(elem)
-                if value and value not in issns:
-                    issns.append(value)
+                for value in _itertext(elem).split(";"):
+                    value = value.strip()
+                    if value and value not in issns:
+                        issns.append(value)
 
     doi = None
     for elem in _iter_local(article_meta, "article-id"):
@@ -532,15 +511,17 @@ def parse_article(data: bytes, source: str = "<bytes>") -> ParsedArticle:
     ref_ids = {ref.ref_id for ref in references}
 
     walker = _BodyWalker(ref_ids)
-    walker.run(root)
-    tree = walker.tree()
+    try:
+        walker.run(root)
+    except RecursionError:
+        raise ArticleStructureError(source, "element nesting too deep") from None
     ref_order = [ref.ref_id for ref in references]
-    citations, cite_issues = locate_in_text_citations(tree, walker.markers, ref_order)
+    citations, cite_issues = locate_in_text_citations(walker.markers, ref_order)
     issues.extend(cite_issues)
 
     return ParsedArticle(
         record=record,
-        sections=tree,
+        sections=walker.tree(),
         references=tuple(references),
         citations=tuple(citations),
         issues=tuple(issues),

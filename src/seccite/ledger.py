@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -54,18 +55,6 @@ class CitationContribution:
     weight: Fraction
 
 
-@dataclass(frozen=True)
-class SectionCitationVector:
-    """Six fractional section counts for one cited DOI."""
-
-    cited_doi: str
-    counts: Mapping[CanonicalSection, Fraction]
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.counts.values(), Fraction(0))
-
-
 def _mention_maps(
     article: ParsedArticle, labels: Mapping[str, SectionLabel]
 ) -> tuple[dict[str, dict[CanonicalSection, int]], dict[str, int]]:
@@ -99,25 +88,6 @@ def _mention_maps(
             for doi in dois:
                 other[doi] = other.get(doi, 0) + 1
     return recognized, other
-
-
-def tally_article(
-    article: ParsedArticle, labels: Mapping[str, SectionLabel]
-) -> ArticleTally:
-    """Count recognized-section mentions per cited DOI for one article.
-
-    ``labels`` maps outer-section node ids to SectionLabels. Citations in
-    unrecognized sections, outside any section, or to references without a
-    DOI are dropped. Callers are expected to have filtered to research
-    articles already.
-    """
-    recognized, _ = _mention_maps(article, labels)
-    return ArticleTally(
-        citing_doi=article.record.doi,
-        citing_journal=article.record.journal_title,
-        citing_year=article.record.pub_year,
-        mentions=recognized,
-    )
 
 
 def fractionalize(tally: ArticleTally) -> list[CitationContribution]:
@@ -156,9 +126,6 @@ class Ledger:
 
     def dois(self) -> list[str]:
         return sorted(self.vectors)
-
-    def vector(self, doi: str) -> SectionCitationVector:
-        return SectionCitationVector(doi, dict(self.vectors[doi]))
 
     def total(self, doi: str) -> Fraction:
         return sum(self.vectors[doi].values(), Fraction(0))
@@ -230,15 +197,11 @@ class Ledger:
         for title, weight in other.target_other.items():
             self.target_other[title] = self.target_other.get(title, Fraction(0)) + weight
 
-    def copy(self) -> "Ledger":
-        result = Ledger()
-        result.update(self)
-        return result
-
 
 def merge(left: Ledger, right: Ledger) -> Ledger:
     """Pointwise rational addition of two ledgers; associative and commutative."""
-    result = left.copy()
+    result = Ledger()
+    result.update(left)
     result.update(right)
     return result
 
@@ -270,16 +233,42 @@ def _format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _format_year(year: int | None) -> str:
     return "" if year is None else str(year)
 
 
+def _check_cells(ledger: Ledger) -> None:
+    """Raise ValueError for any text a TSV cell would not carry back unchanged."""
+    issns = [issn for issns in ledger.source_issns.values() for issn in issns]
+    for issn in issns:
+        if not issn or ";" in issn:
+            raise ValueError(f"cannot write ISSN {issn!r}: ledger ISSNs are joined by ';'")
+    texts = chain(
+        ledger.vectors,
+        ledger.cohort_index,
+        (journal for cohort in ledger.cohort_index.values() for journal, _ in cohort),
+        ledger.cited_journals,
+        (title for journals in ledger.cited_journals.values() for title in journals),
+        ledger.cited_years,
+        ledger.source_sections,
+        ledger.source_other,
+        ledger.source_issns,
+        issns,
+        ledger.target_other,
+    )
+    for text in texts:
+        if "\t" in text or "\n" in text:
+            raise ValueError(f"cannot write {text!r} to a ledger: it holds a tab or newline")
+
+
 def write_ledger(ledger: Ledger, directory: str | Path, stem: str = "ledger") -> list[Path]:
-    """Write the ledger and its sidecars as TSV files; returns written paths."""
+    """Write the ledger and its sidecars as TSV files; returns written paths.
+
+    Raises ValueError, before writing anything, for text that would not read
+    back unchanged: a tab or newline in any cell, or an ISSN that is empty or
+    holds ';'.
+    """
+    _check_cells(ledger)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -356,7 +345,7 @@ def read_ledger(directory: str | Path, stem: str = "ledger") -> Ledger:
         doi, cells = row[0], row[1:]
         counts = {}
         for section, cell in zip(SECTION_ORDER, cells):
-            value = _parse_fraction(cell)
+            value = Fraction(cell)
             if value:
                 counts[section] = value
         ledger.vectors[doi] = counts
@@ -382,12 +371,12 @@ def read_ledger(directory: str | Path, stem: str = "ledger") -> Ledger:
         cells = row[2:]
         counts = {}
         for section, cell in zip(SECTION_ORDER, cells):
-            value = _parse_fraction(cell)
+            value = Fraction(cell)
             if value:
                 counts[section] = value
         if counts:
             ledger.source_sections[journal] = counts
-        other = _parse_fraction(cells[-1])
+        other = Fraction(cells[-1])
         if other:
             ledger.source_other[journal] = other
         if issns:
@@ -397,6 +386,6 @@ def read_ledger(directory: str | Path, stem: str = "ledger") -> Ledger:
 
     for row in _read_rows(directory / f"{stem}.targets.tsv"):
         title, weight = row
-        ledger.target_other[title] = _parse_fraction(weight)
+        ledger.target_other[title] = Fraction(weight)
 
     return ledger

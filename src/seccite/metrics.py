@@ -136,6 +136,34 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
 
 
 # ---------------------------------------------------------------------------
+# Cited DOIs grouped by target field
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class _CitedDoi:
+    """One ledger DOI as the target-field tables read it."""
+
+    vector: Mapping[CanonicalSection, Fraction]
+    counts: tuple[float, ...]  # float(vector[s]) for s in SECTION_ORDER
+    year: int | None  # modal cited year
+
+
+def _cited_by_field(ledger: Ledger, field_map: FieldMap) -> dict[str | None, list[_CitedDoi]]:
+    """Ledger DOIs in DOI order, grouped by the field of their modal cited
+    journal; DOIs that match no field sit under None."""
+    grouped: dict[str | None, list[_CitedDoi]] = {}
+    for doi in ledger.dois():
+        vector = ledger.vectors[doi]
+        counts = tuple(float(vector[s]) if s in vector else 0.0 for s in SECTION_ORDER)
+        field = field_of(field_map, modal_cited_journal(ledger, doi))
+        grouped.setdefault(field, []).append(
+            _CitedDoi(vector, counts, resolve_cited_year(ledger, doi))
+        )
+    return grouped
+
+
+# ---------------------------------------------------------------------------
 # Share tables
 # ---------------------------------------------------------------------------
 
@@ -195,11 +223,11 @@ def share_by_field(ledger: Ledger, field_map: FieldMap, perspective: str) -> Sha
             ):
                 row[i] += value
     else:
-        for doi in ledger.dois():
-            title = modal_cited_journal(ledger, doi)
-            row = bucket(field_of(field_map, title))
-            for i, section in enumerate(SECTION_ORDER):
-                row[i] += ledger.vectors[doi].get(section, Fraction(0))
+        for field, cited in _cited_by_field(ledger, field_map).items():
+            row = bucket(field)
+            for doi in cited:
+                for i, section in enumerate(SECTION_ORDER):
+                    row[i] += doi.vector.get(section, Fraction(0))
         for title in sorted(ledger.target_other):
             row = bucket(field_of(field_map, title))
             row[6] += ledger.target_other[title]
@@ -224,37 +252,32 @@ class AnchoredTable:
     notes: tuple[str, ...]
 
 
-def _dois_by_field(ledger: Ledger, field_map: FieldMap) -> dict[str, list[str]]:
-    """Ledger DOIs grouped by target field; unclassifiable DOIs excluded."""
-    grouped: dict[str, list[str]] = {}
-    for doi in ledger.dois():
-        field = field_of(field_map, modal_cited_journal(ledger, doi))
-        if field is not None:
-            grouped.setdefault(field, []).append(doi)
-    return grouped
-
-
 def anchored_subset_geomeans(
-    ledger: Ledger, field_map: FieldMap, anchor: CanonicalSection
-) -> AnchoredTable:
-    """Per-field geometric means over DOIs with >= 1 citation in the anchor.
+    ledger: Ledger, field_map: FieldMap
+) -> dict[CanonicalSection, AnchoredTable]:
+    """Per-field geometric means over DOIs with >= 1 citation in the anchor,
+    one table for each of the six sections as anchor.
 
     Zero-truncated: only DOIs present in the ledger participate. Fields with
     an empty anchored subset are omitted, with a note.
     """
-    rows: dict[str, dict[CanonicalSection, GeoMeanResult]] = {}
-    notes: list[str] = []
-    for field, dois in sorted(_dois_by_field(ledger, field_map).items()):
-        subset = [doi for doi in dois if ledger.counts(doi, anchor) >= 1]
-        if not subset:
-            notes.append(f"{field}: no articles cited in {anchor.value}; row omitted")
-            continue
-        row = {}
-        for section in SECTION_ORDER:
-            values = [float(ledger.counts(doi, section)) for doi in subset]
-            row[section] = geometric_mean_ci(values)
-        rows[field] = row
-    return AnchoredTable(anchor=anchor, rows=rows, notes=tuple(notes))
+    grouped = _cited_by_field(ledger, field_map)
+    fields = sorted(field for field in grouped if field is not None)
+    tables = {}
+    for anchor in SECTION_ORDER:
+        rows: dict[str, dict[CanonicalSection, GeoMeanResult]] = {}
+        notes: list[str] = []
+        for field in fields:
+            subset = [doi for doi in grouped[field] if doi.vector.get(anchor, 0) >= 1]
+            if not subset:
+                notes.append(f"{field}: no articles cited in {anchor.value}; row omitted")
+                continue
+            rows[field] = {
+                section: geometric_mean_ci([doi.counts[i] for doi in subset])
+                for i, section in enumerate(SECTION_ORDER)
+            }
+        tables[anchor] = AnchoredTable(anchor=anchor, rows=rows, notes=tuple(notes))
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +302,9 @@ class CorrelationReport:
     notes: tuple[str, ...]
 
 
-def _correlation_matrix(ledger: Ledger, dois: Sequence[str]) -> tuple[tuple[float | None, ...], ...]:
-    columns = []
-    for section in SECTION_ORDER:
-        columns.append([float(ledger.counts(doi, section)) for doi in dois])
-    columns.append([float(ledger.total(doi)) for doi in dois])
+def _correlation_matrix(sample: Sequence[_CitedDoi]) -> tuple[tuple[float | None, ...], ...]:
+    columns = [[doi.counts[i] for doi in sample] for i in range(len(SECTION_ORDER))]
+    columns.append([float(sum(doi.vector.values(), Fraction(0))) for doi in sample])
     size = len(columns)
     cells: list[list[float | None]] = [[None] * size for _ in range(size)]
     for i in range(size):
@@ -328,8 +349,10 @@ def correlation_tables(
         raise ValueError(f"year {year} out of range")
     per_field: list[CorrelationMatrix] = []
     notes: list[str] = []
-    for field, dois in sorted(_dois_by_field(ledger, field_map).items()):
-        sample = [doi for doi in dois if resolve_cited_year(ledger, doi) == year]
+    grouped = _cited_by_field(ledger, field_map)
+    fields = sorted(field for field in grouped if field is not None)
+    for field in fields:
+        sample = [doi for doi in grouped[field] if doi.year == year]
         if len(sample) < 2:
             notes.append(f"{field}: n={len(sample)} < 2 for {year}; excluded")
             continue
@@ -338,7 +361,7 @@ def correlation_tables(
                 field=field,
                 year=year,
                 n=len(sample),
-                values=_correlation_matrix(ledger, sample),
+                values=_correlation_matrix(sample),
             )
         )
 

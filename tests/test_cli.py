@@ -104,6 +104,30 @@ class TestIngestCommand:
         ledger = read_ledger(out)
         assert "10.2000/aaa" in ledger.vectors
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_deep_or_unreadable_file_logged_rest_kept(self, tmp_path, workers):
+        corpus = tmp_path / "mixed"
+        corpus.mkdir()
+        (corpus / "good.xml").write_bytes(make_article(
+            body='<sec><title>Introduction</title>'
+                 '<p><xref ref-type="bibr" rid="r1">[1]</xref></p></sec>'
+        ))
+        depth = 2000
+        (corpus / "deep.xml").write_bytes(make_article(
+            body="<sec><title>Methods</title>" + "<list>" * depth + "</list>" * depth + "</sec>"
+        ))
+        (corpus / "folder.xml").mkdir()  # matched by *.xml, cannot be read as a file
+        out = tmp_path / "out"
+        assert run("ingest", "--corpus-dir", str(corpus), "--output-dir", str(out),
+                   "--workers", workers) == 0
+        log = (out / "ingest_log.txt").read_text()
+        assert "malformed files\t2" in log
+        malformed = [line for line in log.splitlines() if line.startswith("MALFORMED\t")]
+        assert len(malformed) == 2
+        assert "deep.xml" in malformed[0] and "nesting too deep" in malformed[0]
+        assert "folder.xml" in malformed[1] and "cannot read file" in malformed[1]
+        assert "10.2000/aaa" in read_ledger(out).vectors
+
     def test_missing_corpus_dir_flag(self, tmp_path, capsys):
         assert run("ingest", "--output-dir", str(tmp_path)) == 1
         assert "--corpus-dir" in capsys.readouterr().err

@@ -71,6 +71,18 @@ class TestParseArticle:
             parse_article(xml, "nometa.xml")
         assert "nometa.xml" in str(excinfo.value)
 
+    def test_deep_nesting_is_structural_error(self):
+        depth = 2000
+        body = "<sec><title>Methods</title>" + "<list>" * depth + "</list>" * depth + "</sec>"
+        with pytest.raises(ArticleStructureError) as excinfo:
+            parse_article(make_article(body=body), "deep.xml")
+        assert "deep.xml" in str(excinfo.value)
+        assert "nesting too deep" in str(excinfo.value)
+
+    def test_issn_list_split_on_semicolons(self):
+        article = parse_article(make_article(issn="1234-5678; 9999-0000"), "issn.xml")
+        assert article.record.issn_list == ("1234-5678", "9999-0000")
+
     def test_non_utf8_input_recovers_with_issue(self):
         body = f'<sec><title>Results</title><p>{xref("r1")} caf\xe9.</p></sec>'
         xml = make_article(body=body).decode("utf-8").encode("latin-1")

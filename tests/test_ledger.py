@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import random
+import tempfile
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seccite import (
     CanonicalSection,
@@ -17,7 +20,6 @@ from seccite import (
     parse_article,
     read_ledger,
     resolve_cited_year,
-    tally_article,
     write_ledger,
 )
 from seccite.ledger import ArticleTally
@@ -72,7 +74,16 @@ class TestFractionalize:
             assert set(per_doi) == set(mentions)
 
 
+def added(article, labels=None):
+    """A fresh ledger holding one article; labels default to the shipped table."""
+    ledger = Ledger()
+    ledger.add_article(article, labels if labels is not None else outer_section_labels(article))
+    return ledger
+
+
 class TestTallyArticle:
+    """Mention tallying as Ledger.add_article applies it."""
+
     def test_intro_twice_discussion_once(self):
         body = (
             "<sec><title>Introduction</title>"
@@ -80,25 +91,24 @@ class TestTallyArticle:
             f"<sec><title>Discussion</title><p>Three {xref('r1')}.</p></sec>"
         )
         article = parse_article(make_article(body=body), "t.xml")
-        result = tally_article(article, outer_section_labels(article))
-        assert result.mentions == {"10.2000/aaa": {I: 2, D: 1}}
+        assert added(article).vectors == {"10.2000/aaa": {I: Fraction(2, 3), D: Fraction(1, 3)}}
 
     def test_unrecognized_section_dropped(self):
         body = f"<sec><title>Acknowledgements</title><p>{xref('r1')}.</p></sec>"
         article = parse_article(make_article(body=body), "t.xml")
-        assert tally_article(article, outer_section_labels(article)).mentions == {}
+        assert added(article).vectors == {}
 
     def test_outside_section_dropped(self):
         article = parse_article(
             make_article(abstract=f"<p>{xref('r1')}</p>"), "t.xml"
         )
-        assert tally_article(article, outer_section_labels(article)).mentions == {}
+        assert added(article).vectors == {}
 
     def test_ref_without_doi_dropped(self):
         refs = ref_entries(2, doi_for=lambda i: None)
         body = f"<sec><title>Methods</title><p>{xref('r1')}.</p></sec>"
         article = parse_article(make_article(body=body, refs=refs), "t.xml")
-        assert tally_article(article, outer_section_labels(article)).mentions == {}
+        assert added(article) == Ledger()
 
     def test_marker_order_irrelevant(self):
         refs = ref_entries(6)
@@ -108,13 +118,13 @@ class TestTallyArticle:
         )
         article = parse_article(make_article(body=body, refs=refs), "t.xml")
         labels = outer_section_labels(article)
-        baseline = tally_article(article, labels)
+        baseline = added(article, labels)
         rng = random.Random(3)
         for _ in range(5):
             permuted = list(article.citations)
             rng.shuffle(permuted)
             shuffled = dataclasses.replace(article, citations=tuple(permuted))
-            assert tally_article(shuffled, labels).mentions == baseline.mentions
+            assert added(shuffled, labels) == baseline
 
 
 class TestLedgerAccumulation:
@@ -197,7 +207,7 @@ class TestMerge:
         rng = random.Random(8)
         a = random_ledger(rng, dois=3)
         b = random_ledger(rng, dois=3)
-        a_copy, b_copy = a.copy(), b.copy()
+        a_copy, b_copy = copy.deepcopy(a), copy.deepcopy(b)
         merge(a, b)
         assert a == a_copy and b == b_copy
 
@@ -246,3 +256,117 @@ class TestRoundTrip:
     def test_missing_ledger_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_ledger(tmp_path)
+
+    def test_semicolon_joined_issns_round_trip(self, tmp_path):
+        body = f"<sec><title>Methods</title><p>{xref('r1')}.</p></sec>"
+        article = parse_article(make_article(body=body, issn="1234-5678; 9999-0000"), "t.xml")
+        ledger = Ledger()
+        ledger.add_article(article, outer_section_labels(article))
+        assert ledger.source_issns["Fixture Journal"] == {"1234-5678", "9999-0000"}
+        write_ledger(ledger, tmp_path)
+        assert read_ledger(tmp_path) == ledger
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda led: led.source_issns["J"].add("1234-5678;9999-0000"),
+            lambda led: led.source_issns["J"].add(""),
+            lambda led: led.cited_journals["10.1/x"].update({"Tab\tJournal": 1}),
+            lambda led: led.cohort_index["10.1/x"].add(("Line\nJournal", 2019)),
+            lambda led: led.vectors.update({"10.1/\ty": {M: Fraction(1)}}),
+            lambda led: led.target_other.update({"Line\n": Fraction(1)}),
+        ],
+        ids=["issn-semicolon", "issn-empty", "meta-tab", "cohort-newline", "doi-tab",
+             "target-newline"],
+    )
+    def test_write_rejects_cells_that_cannot_round_trip(self, tmp_path, spoil):
+        ledger = Ledger()
+        ledger.vectors["10.1/x"] = {M: Fraction(1)}
+        ledger.cohort_index["10.1/x"] = {("J", 2019)}
+        ledger.cited_journals["10.1/x"] = Counter({"Cited": 1})
+        ledger.source_sections["J"] = {M: Fraction(1)}
+        ledger.source_issns["J"] = {"1234-5678"}
+        spoil(ledger)
+        with pytest.raises(ValueError):
+            write_ledger(ledger, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+
+# Text as the parser emits it: XML characters, whitespace runs collapsed to
+# one space and trimmed.
+_XML_CHARS = ("Cs", "Cc", "Cn")
+_SPACES = ("Zs", "Zl", "Zp")
+
+
+def _collapsed_text(min_size=0, exclude=""):
+    chars = st.characters(blacklist_categories=_XML_CHARS, blacklist_characters=exclude)
+    return (
+        st.text(chars, max_size=12)
+        .map(lambda text: " ".join(text.split()))
+        .filter(lambda text: len(text) >= min_size)
+    )
+
+
+def _word(exclude=""):
+    chars = st.characters(
+        blacklist_categories=_XML_CHARS + _SPACES, blacklist_characters=exclude
+    )
+    return st.text(chars, min_size=1, max_size=10)
+
+
+_dois = st.builds(lambda reg, suffix: f"10.{reg}/{suffix}".lower(), _word("/"), _word())
+_titles = _collapsed_text()
+_issns = _collapsed_text(min_size=1, exclude=";")
+_weights = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**4))
+_sections = st.dictionaries(st.sampled_from(SECTION_ORDER), _weights, max_size=6)
+_counts = st.integers(1, 50)
+_years = st.integers(1800, 2100)
+
+
+@st.composite
+def ledgers(draw):
+    """Ledgers in the shape read_ledger rebuilds: no zero weights or counts,
+    and ISSN sets for exactly the journals that have a sources row."""
+    ledger = Ledger()
+    for doi in draw(st.lists(_dois, max_size=4, unique=True)):
+        ledger.vectors[doi] = draw(_sections)
+        ledger.cohort_index[doi] = draw(
+            st.sets(st.tuples(_titles, st.none() | _years), max_size=3)
+        )
+        journals = draw(st.dictionaries(_titles, _counts, max_size=3))
+        if journals:
+            ledger.cited_journals[doi] = Counter(journals)
+        years = draw(st.dictionaries(_years, _counts, max_size=3))
+        if years:
+            ledger.cited_years[doi] = Counter(years)
+    for journal in draw(st.lists(_titles, max_size=3, unique=True)):
+        sections = draw(_sections)
+        other = draw(st.none() | _weights)
+        if sections:
+            ledger.source_sections[journal] = sections
+        if other is not None or not sections:
+            ledger.source_other[journal] = other or Fraction(1)
+        ledger.source_issns[journal] = draw(st.sets(_issns, max_size=3))
+    ledger.target_other = draw(st.dictionaries(_titles, _weights, max_size=3))
+    return ledger
+
+
+class TestLedgerProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(ledgers())
+    def test_merge_identity(self, ledger):
+        assert merge(ledger, Ledger()) == ledger
+        assert merge(Ledger(), ledger) == ledger
+
+    @settings(max_examples=40, deadline=None)
+    @given(ledgers(), ledgers(), ledgers())
+    def test_merge_commutative_associative(self, a, b, c):
+        assert merge(a, b) == merge(b, a)
+        assert merge(merge(a, b), c) == merge(a, merge(b, c))
+
+    @settings(max_examples=40, deadline=None)
+    @given(ledgers())
+    def test_write_read_round_trip(self, ledger):
+        with tempfile.TemporaryDirectory() as directory:
+            write_ledger(ledger, directory)
+            assert read_ledger(directory) == ledger

@@ -252,7 +252,7 @@ class TestAnchoredSubsets:
         ledger.vectors["10.1/x"] = {I: Fraction(1)}
         ledger.cohort_index["10.1/x"] = {("Journal A", 2019)}
         ledger.cited_journals["10.1/x"] = Counter({"Cited Journal One": 1})
-        table = anchored_subset_geomeans(ledger, small_field_map, I)
+        table = anchored_subset_geomeans(ledger, small_field_map)[I]
         row = table.rows["Biology"]
         assert row[I].n == 1
         assert close(row[I].mean, 1.0)
@@ -262,7 +262,7 @@ class TestAnchoredSubsets:
         ledger = Ledger()
         ledger.vectors["10.1/x"] = {I: Fraction(1)}
         ledger.cited_journals["10.1/x"] = Counter({"Cited Journal One": 1})
-        table = anchored_subset_geomeans(ledger, small_field_map, C)
+        table = anchored_subset_geomeans(ledger, small_field_map)[C]
         assert table.rows == {}
         assert len(table.notes) == 1
 
@@ -273,8 +273,10 @@ class TestAnchoredSubsets:
         for i, doi in enumerate(ledger.dois()):
             if i % 2 == 0:
                 ledger.cited_journals[doi] = Counter({"Cited Journal One": 5})
+        tables = anchored_subset_geomeans(ledger, small_field_map)
+        assert list(tables) == list(SECTION_ORDER)
         for anchor in (I, M, C):
-            table = anchored_subset_geomeans(ledger, small_field_map, anchor)
+            table = tables[anchor]
             # naive: rescan every doi, filter, recompute via mpmath oracle
             from seccite.fields import field_of
 
