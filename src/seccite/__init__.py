@@ -1,27 +1,14 @@
-"""seccite: count citations separately by the section of the citing article."""
+"""seccite: count citations separately by the section of the citing article.
+
+The top level exports the library's entry points; every other name is
+imported from its submodule (`seccite.jats`, `seccite.ledger`, ...).
+"""
 
 __version__ = "0.1.0"
 
-from .fields import FieldMap, FieldMapError, field_of, load_classification
-from .jats import (
-    ArticleRecord,
-    ArticleStructureError,
-    ExpansionError,
-    InTextCitation,
-    JatsError,
-    ParsedArticle,
-    ReferenceEntry,
-    SectionNode,
-    XmlParseError,
-    expand_citation_list,
-    is_research_article,
-    locate_in_text_citations,
-    normalize_doi,
-    parse_article,
-)
+from .fields import load_classification
+from .jats import is_research_article, parse_article
 from .ledger import (
-    ArticleTally,
-    CitationContribution,
     Ledger,
     fractionalize,
     merge,
@@ -32,12 +19,6 @@ from .ledger import (
     write_ledger,
 )
 from .metrics import (
-    AnchoredTable,
-    CorrelationMatrix,
-    CorrelationReport,
-    GeoMeanResult,
-    ShareTable,
-    TopShareEntry,
     anchored_subset_geomeans,
     correlation_tables,
     geometric_mean_ci,
@@ -46,58 +27,23 @@ from .metrics import (
     spearman,
     top_share_articles,
 )
-from .sections import (
-    CanonicalSection,
-    SECTION_ORDER,
-    SectionLabel,
-    load_name_table,
-    normalize_section,
-    strip_title_numbering,
-)
-from .synth import CorpusSpec, GroundTruth, generate_corpus, write_classification
+from .sections import CanonicalSection
+from .synth import CorpusSpec, generate_corpus, write_classification
 
 __all__ = [
     "__version__",
-    "ArticleRecord",
-    "ArticleStructureError",
-    "ArticleTally",
-    "AnchoredTable",
     "CanonicalSection",
-    "CitationContribution",
-    "CorrelationMatrix",
-    "CorrelationReport",
     "CorpusSpec",
-    "ExpansionError",
-    "FieldMap",
-    "FieldMapError",
-    "GeoMeanResult",
-    "GroundTruth",
-    "InTextCitation",
-    "JatsError",
     "Ledger",
-    "ParsedArticle",
-    "ReferenceEntry",
-    "SECTION_ORDER",
-    "SectionLabel",
-    "SectionNode",
-    "ShareTable",
-    "TopShareEntry",
-    "XmlParseError",
     "anchored_subset_geomeans",
     "correlation_tables",
-    "expand_citation_list",
-    "field_of",
     "fractionalize",
     "generate_corpus",
     "geometric_mean_ci",
     "is_research_article",
     "load_classification",
-    "load_name_table",
-    "locate_in_text_citations",
     "merge",
     "modal_cited_journal",
-    "normalize_doi",
-    "normalize_section",
     "outer_section_labels",
     "parse_article",
     "read_ledger",
@@ -105,7 +51,6 @@ __all__ = [
     "share_by_field",
     "share_row",
     "spearman",
-    "strip_title_numbering",
     "top_share_articles",
     "write_classification",
     "write_ledger",

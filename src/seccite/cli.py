@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .fields import FieldMapError, load_classification
 from .jats import JatsError, is_research_article, parse_article
-from .ledger import Ledger, outer_section_labels, read_ledger, write_ledger
+from .ledger import Ledger, ledger_files, outer_section_labels, read_ledger, write_ledger
 from .metrics import (
     CORRELATION_AXES,
     SHARE_COLUMNS,
@@ -156,26 +157,35 @@ def _name_table(overrides: str | None):
 
 
 def _ingest_one(path_text: str, overrides: str | None):
-    """Per-file worker: parse, tally, return a one-article ledger delta."""
+    """Per-file worker: parse, tally, return a one-article ledger delta.
+
+    Any exception raised for one file costs only that file: the delta is
+    None and the one reason given is logged as MALFORMED. An unexpected one
+    (not a JatsError) also prints its traceback to stderr.
+    """
     try:
         data = Path(path_text).read_bytes()
     except OSError as exc:
         return path_text, None, {}, [f"{path_text}: cannot read file: {exc.strerror or exc}"]
     try:
         parsed = parse_article(data, source=path_text)
+        counts = {"documents": 1}
+        if not is_research_article(parsed.record):
+            return path_text, Ledger(), counts, list(parsed.issues)
+        counts["research_articles"] = 1
+        counts["references"] = len(parsed.references)
+        counts["references_with_doi"] = sum(
+            1 for ref in parsed.references if ref.cited_doi is not None
+        )
+        labels = outer_section_labels(parsed, _name_table(overrides))
+        delta = Ledger()
+        delta.add_article(parsed, labels)
     except JatsError as exc:
         return path_text, None, {}, [str(exc)]
-    counts = {"documents": 1}
-    if not is_research_article(parsed.record):
-        return path_text, Ledger(), counts, list(parsed.issues)
-    counts["research_articles"] = 1
-    counts["references"] = len(parsed.references)
-    counts["references_with_doi"] = sum(
-        1 for ref in parsed.references if ref.cited_doi is not None
-    )
-    labels = outer_section_labels(parsed, _name_table(overrides))
-    delta = Ledger()
-    delta.add_article(parsed, labels)
+    except Exception as exc:
+        print(f"seccite: {path_text}: unexpected error\n{traceback.format_exc()}",
+              file=sys.stderr)
+        return path_text, None, {}, [f"{type(exc).__name__}: {exc}"]
     return path_text, delta, counts, list(parsed.issues)
 
 
@@ -202,6 +212,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     overrides_text = str(overrides) if overrides is not None else None
     if overrides_text is not None and not Path(overrides_text).exists():
         raise CliError(f"section override file not found: {overrides_text}")
+    _name_table(overrides_text)  # a bad override file fails the run, not each file
 
     ledger = Ledger()
     totals = {"documents": 0, "research_articles": 0,
@@ -270,6 +281,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _fmt(value: float | None) -> str:
@@ -397,15 +412,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
     correlations = correlation_tables(ledger, field_map, year)
     top = top_share_articles(ledger, min_total=min_total, k=2)
 
+    # Inputs are named by content, so the same inputs at another path give
+    # the same bundle.
     config_used = {
-        "ledger_dir": str(ledger_dir),
-        "classification": str(classification),
-        "extension": str(extension) if extension else "",
+        "ledger_sha256": {path.name: _sha256(path) for path in ledger_files(ledger_dir)},
+        "classification_sha256": _sha256(classification),
+        "extension_sha256": _sha256(extension) if extension else "",
         "year": str(year),
         "min_total": str(min_total),
     }
     config_hash = hashlib.sha256(
-        "\n".join(f"{k}={v}" for k, v in sorted(config_used.items())).encode("utf-8")
+        json.dumps(config_used, sort_keys=True).encode("utf-8")
     ).hexdigest()
 
     bundle = {

@@ -261,6 +261,13 @@ def _check_cells(ledger: Ledger) -> None:
             raise ValueError(f"cannot write {text!r} to a ledger: it holds a tab or newline")
 
 
+def ledger_files(directory: str | Path, stem: str = "ledger") -> list[Path]:
+    """The main TSV and its four sidecars (cohort, meta, sources, targets)."""
+    directory = Path(directory)
+    return [directory / f"{stem}{part}.tsv"
+            for part in ("", ".cohort", ".meta", ".sources", ".targets")]
+
+
 def write_ledger(ledger: Ledger, directory: str | Path, stem: str = "ledger") -> list[Path]:
     """Write the ledger and its sidecars as TSV files; returns written paths.
 
@@ -269,11 +276,10 @@ def write_ledger(ledger: Ledger, directory: str | Path, stem: str = "ledger") ->
     holds ';'.
     """
     _check_cells(ledger)
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    paths = ledger_files(directory, stem)
+    main, cohort, meta, sources, targets = paths
 
-    main = directory / f"{stem}.tsv"
     with main.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write("doi\t" + "\t".join(LEDGER_COLUMNS) + "\ttotal\n")
         for doi in sorted(ledger.vectors):
@@ -281,9 +287,7 @@ def write_ledger(ledger: Ledger, directory: str | Path, stem: str = "ledger") ->
             cells = [_format_fraction(counts.get(s, Fraction(0))) for s in SECTION_ORDER]
             cells.append(_format_fraction(ledger.total(doi)))
             handle.write(doi + "\t" + "\t".join(cells) + "\n")
-    paths.append(main)
 
-    cohort = directory / f"{stem}.cohort.tsv"
     with cohort.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write("doi\tciting_journal\tciting_year\n")
         for doi in sorted(ledger.cohort_index):
@@ -293,9 +297,7 @@ def write_ledger(ledger: Ledger, directory: str | Path, stem: str = "ledger") ->
             )
             for journal, year in rows:
                 handle.write(f"{doi}\t{journal}\t{_format_year(year)}\n")
-    paths.append(cohort)
 
-    meta = directory / f"{stem}.meta.tsv"
     with meta.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write("doi\tkind\tvalue\tcount\n")
         for doi in sorted(set(ledger.cited_journals) | set(ledger.cited_years)):
@@ -303,9 +305,7 @@ def write_ledger(ledger: Ledger, directory: str | Path, stem: str = "ledger") ->
                 handle.write(f"{doi}\tjournal\t{title}\t{count}\n")
             for year, count in sorted(ledger.cited_years.get(doi, {}).items()):
                 handle.write(f"{doi}\tyear\t{year}\t{count}\n")
-    paths.append(meta)
 
-    sources = directory / f"{stem}.sources.tsv"
     with sources.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write("journal\tissns\t" + "\t".join(LEDGER_COLUMNS) + f"\t{OTHER_COLUMN}\n")
         for journal in sorted(set(ledger.source_sections) | set(ledger.source_other)):
@@ -314,14 +314,11 @@ def write_ledger(ledger: Ledger, directory: str | Path, stem: str = "ledger") ->
             cells = [_format_fraction(counts.get(s, Fraction(0))) for s in SECTION_ORDER]
             cells.append(_format_fraction(ledger.source_other.get(journal, Fraction(0))))
             handle.write(journal + "\t" + issns + "\t" + "\t".join(cells) + "\n")
-    paths.append(sources)
 
-    targets = directory / f"{stem}.targets.tsv"
     with targets.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"cited_journal\t{OTHER_COLUMN}\n")
         for title in sorted(ledger.target_other):
             handle.write(f"{title}\t{_format_fraction(ledger.target_other[title])}\n")
-    paths.append(targets)
     return paths
 
 
@@ -335,10 +332,9 @@ def _read_rows(path: Path) -> Iterable[list[str]]:
 
 def read_ledger(directory: str | Path, stem: str = "ledger") -> Ledger:
     """Load a ledger written by write_ledger; exact inverse."""
-    directory = Path(directory)
+    main, cohort, meta, sources, targets = ledger_files(directory, stem)
     ledger = Ledger()
 
-    main = directory / f"{stem}.tsv"
     if not main.exists():
         raise FileNotFoundError(f"ledger file not found: {main}")
     for row in _read_rows(main):
@@ -351,22 +347,22 @@ def read_ledger(directory: str | Path, stem: str = "ledger") -> Ledger:
         ledger.vectors[doi] = counts
         ledger.cohort_index.setdefault(doi, set())
 
-    for row in _read_rows(directory / f"{stem}.cohort.tsv"):
+    for row in _read_rows(cohort):
         doi, journal, year = row
         ledger.cohort_index.setdefault(doi, set()).add(
             (journal, int(year) if year else None)
         )
 
-    for row in _read_rows(directory / f"{stem}.meta.tsv"):
+    for row in _read_rows(meta):
         doi, kind, value, count = row
         if kind == "journal":
             ledger.cited_journals.setdefault(doi, Counter())[value] += int(count)
         elif kind == "year":
             ledger.cited_years.setdefault(doi, Counter())[int(value)] += int(count)
         else:
-            raise ValueError(f"unknown meta kind {kind!r} in {stem}.meta.tsv")
+            raise ValueError(f"unknown meta kind {kind!r} in {meta.name}")
 
-    for row in _read_rows(directory / f"{stem}.sources.tsv"):
+    for row in _read_rows(sources):
         journal, issns = row[0], row[1]
         cells = row[2:]
         counts = {}
@@ -384,7 +380,7 @@ def read_ledger(directory: str | Path, stem: str = "ledger") -> Ledger:
         else:
             ledger.source_issns.setdefault(journal, set())
 
-    for row in _read_rows(directory / f"{stem}.targets.tsv"):
+    for row in _read_rows(targets):
         title, weight = row
         ledger.target_other[title] = Fraction(weight)
 

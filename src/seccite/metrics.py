@@ -13,12 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, expm1, fsum, log, log1p, pi, sqrt
-from statistics import median
+from math import atan, exp, expm1, fsum, lgamma, log, log1p, pi, sqrt
+from statistics import NormalDist, median
 from typing import Mapping, Sequence
-
-from scipy import special as _special
-from scipy import stats as _scipy_stats
 
 from .fields import FieldMap, field_of
 from .ledger import OTHER_COLUMN, Ledger, modal_cited_journal, resolve_cited_year
@@ -44,26 +41,55 @@ class GeoMeanResult:
     ci_hi: float
 
 
+# Above this many degrees of freedom `_t_quantile` uses the Cornish-Fisher
+# expansion, whose first omitted term is below 1e-15 there; at or below it, the
+# exact CDF series, which needs df // 2 terms per evaluation.
+_T_SERIES_MAX_DF = 1000
+
+
+def _t_central_mass(t: float, df: int) -> float:
+    """P(|T| <= t) for t >= 0 and T Student-t with integer df: the finite
+    series of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df)."""
+    odd = df % 2
+    cos2 = df / (df + t * t)  # cos^2(theta), theta = atan(t / sqrt(df))
+    term, total = 1.0, 0.0
+    for k in range(df // 2):
+        total += term
+        term *= cos2 * (2 * k + 1 + odd) / (2 * k + 2 + odd)
+    sin = t / sqrt(df + t * t)
+    if not odd:
+        return sin * total
+    return 2.0 / pi * (atan(t / sqrt(df)) + sin * sqrt(cos2) * total)
+
+
 @lru_cache(maxsize=4096)
 def _t_quantile(p: float, df: int) -> float:
-    """Two-sided Student-t quantile at full double precision.
+    """Student-t quantile for 0.5 <= p < 1 and integer df >= 1, at full double
+    precision.
 
-    scipy's ppf drifts to ~1e-11 relative error at low df, so its value only
-    seeds Newton iterations on the survival function (regularized incomplete
-    beta), which converge to machine precision.
+    Up to _T_SERIES_MAX_DF: Newton's method on the exact CDF series, started
+    from the normal quantile, which lies below the root. The CDF is concave
+    for t > 0, so the iterates rise monotonically; the first step that does
+    not raise t means rounding has taken over. Above it: the Cornish-Fisher
+    expansion in 1/df to the 1/df^4 term (A&S 26.7.5).
     """
-    t = float(_scipy_stats.t.ppf(p, df))
-    q = 1.0 - p
-    log_pdf_const = (
-        float(_special.gammaln((df + 1) / 2.0))
-        - float(_special.gammaln(df / 2.0))
-        - 0.5 * log(df * pi)
-    )
-    for _ in range(3):
-        survival = 0.5 * float(_special.betainc(df / 2.0, 0.5, df / (df + t * t)))
+    x = NormalDist().inv_cdf(p)
+    if df > _T_SERIES_MAX_DF:
+        x2 = x * x
+        g1 = x * (x2 + 1) / 4
+        g2 = x * ((5 * x2 + 16) * x2 + 3) / 96
+        g3 = x * (((3 * x2 + 19) * x2 + 17) * x2 - 15) / 384
+        g4 = x * ((((79 * x2 + 776) * x2 + 1482) * x2 - 1920) * x2 - 945) / 92160
+        return x + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
+    level = 2.0 * p - 1.0  # the central mass P(|T| <= t) at the root
+    log_pdf_const = lgamma((df + 1) / 2.0) - lgamma(df / 2.0) - 0.5 * log(df * pi)
+    t = x
+    while True:
         pdf = exp(log_pdf_const - (df + 1) / 2.0 * log1p(t * t / df))
-        t += (survival - q) / pdf
-    return t
+        step = (level - _t_central_mass(t, df)) / (2.0 * pdf)
+        if t + step <= t:
+            return t
+        t += step
 
 
 def geometric_mean_ci(values: Sequence[float], confidence: float = 0.95) -> GeoMeanResult:
@@ -77,6 +103,8 @@ def geometric_mean_ci(values: Sequence[float], confidence: float = 0.95) -> GeoM
         raise ValueError("geometric_mean_ci requires at least one value")
     if any(v < 0 for v in values):
         raise ValueError("values must be non-negative")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     n = len(values)
     logs = [log1p(v) for v in values]
     center = fsum(logs) / n

@@ -1,7 +1,8 @@
 """Independent oracles the test suite checks the implementation against.
 
 Each oracle deliberately takes a different computational route from the code
-under test: high-precision mpmath arithmetic instead of float64 + scipy,
+under test: high-precision mpmath arithmetic and the incomplete-beta CDF
+instead of float64 and the finite integer-df series,
 O(n^2) counting ranks instead of sort-based ranking, exhaustive scans
 instead of sort-and-slice selection.
 """

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from seccite import read_ledger
+import seccite
+from seccite import cli, read_ledger
 from seccite.cli import main
 
 from conftest import make_article
@@ -128,6 +134,49 @@ class TestIngestCommand:
         assert "folder.xml" in malformed[1] and "cannot read file" in malformed[1]
         assert "10.2000/aaa" in read_ledger(out).vectors
 
+    def test_unexpected_error_in_one_file_is_logged_rest_kept(
+        self, corpus, ingested, tmp_path, monkeypatch, capsys
+    ):
+        files = sorted(corpus.glob("*.xml"))
+        victim = files[0]
+        real_parse = cli.parse_article
+
+        def parse_article(data, source="<bytes>"):
+            if source == str(victim):
+                raise KeyError("broken")
+            return real_parse(data, source=source)
+
+        monkeypatch.setattr(cli, "parse_article", parse_article)
+        out = tmp_path / "out"
+        assert run("ingest", "--corpus-dir", str(corpus), "--output-dir", str(out),
+                   "--workers", "1") == 0
+        log = (out / "ingest_log.txt").read_text()
+        malformed = [line for line in log.splitlines() if line.startswith("MALFORMED\t")]
+        assert malformed == [f"MALFORMED\t{victim}\tKeyError: 'broken'"]
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "KeyError: 'broken'" in err
+
+        monkeypatch.undo()
+        rest = tmp_path / "rest"
+        rest.mkdir()
+        for file in files[1:]:
+            shutil.copy(file, rest / file.name)
+        expected = tmp_path / "expected"
+        assert run("ingest", "--corpus-dir", str(rest), "--output-dir", str(expected)) == 0
+        assert ledger_bytes(out) == ledger_bytes(expected)
+        assert ledger_bytes(out) != ledger_bytes(ingested)
+
+    def test_run_level_failures_stay_fatal(self, corpus, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", "utf-8")
+        assert run("ingest", "--corpus-dir", str(corpus),
+                   "--output-dir", str(blocker / "out")) == 1
+        overrides = tmp_path / "overrides.tsv"
+        overrides.write_text("no tab here\n", "utf-8")
+        assert run("ingest", "--corpus-dir", str(corpus), "--output-dir", str(tmp_path / "o"),
+                   "--section-overrides", str(overrides), "--workers", "2") == 1
+        assert "expected 'raw-name<TAB>Section'" in capsys.readouterr().err
+
     def test_missing_corpus_dir_flag(self, tmp_path, capsys):
         assert run("ingest", "--output-dir", str(tmp_path)) == 1
         assert "--corpus-dir" in capsys.readouterr().err
@@ -206,6 +255,26 @@ class TestStatsCommand:
         assert bundle["provenance"]["tool"] == "seccite"
         assert len(bundle["provenance"]["config_hash"]) == 64
         assert set(bundle["share"]) == {"source-field", "target-field"}
+
+    def test_bundle_names_inputs_by_content_not_path(
+        self, ingested, classification_file, tmp_path, capsys
+    ):
+        outputs = []
+        for home in (tmp_path / "a", tmp_path / "b" / "nested"):
+            shutil.copytree(ingested, home / "ledger")
+            shutil.copy(classification_file, home / "fields.tsv")
+            assert run("stats", "--ledger-dir", str(home / "ledger"),
+                       "--classification", str(home / "fields.tsv"),
+                       "--output-dir", str(home / "out"), "--min-total", "3") == 0
+            capsys.readouterr()
+            assert run("report", "--input", str(home / "out" / "report.json")) == 0
+            outputs.append(((home / "out" / "report.json").read_bytes(),
+                            capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        config = json.loads(outputs[0][0])["provenance"]["config"]
+        digest = hashlib.sha256((ingested / "ledger.tsv").read_bytes()).hexdigest()
+        assert config["ledger_sha256"]["ledger.tsv"] == digest
+        assert len(config["ledger_sha256"]) == 5
 
 
 class TestReportCommand:
@@ -297,3 +366,12 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run("--version")
     assert excinfo.value.code == 0
+
+
+def test_import_leaves_out_scipy_and_numpy():
+    src = str(Path(seccite.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, seccite.cli; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -10,6 +10,7 @@ import pytest
 from seccite import Ledger, load_classification
 from seccite.metrics import (
     CORRELATION_AXES,
+    _t_quantile,
     aggregate_correlations,
     anchored_subset_geomeans,
     correlation_tables,
@@ -66,6 +67,11 @@ class TestGeometricMeanCi:
         with pytest.raises(ValueError):
             geometric_mean_ci([1.0, -0.5])
 
+    @pytest.mark.parametrize("confidence", [0.0, -0.5, 1.0, 1.5])
+    def test_confidence_outside_unit_interval_raises(self, confidence):
+        with pytest.raises(ValueError):
+            geometric_mean_ci([1.0, 2.0, 5.0], confidence=confidence)
+
     def test_matches_high_precision_oracle(self):
         rng = random.Random(1701)
         for _ in range(250):
@@ -96,6 +102,29 @@ class TestGeometricMeanCi:
                 continue
             arithmetic = sum(values) / len(values)
             assert geometric_mean_ci(values).mean < arithmetic
+
+    def test_large_n_matches_high_precision_oracle(self):
+        rng = random.Random(10_000)
+        values = [0.0 if rng.random() < 0.2 else rng.uniform(0.0, 80.0) for _ in range(10_000)]
+        got = geometric_mean_ci(values)
+        mean, lo, hi = oracles.geomean_ci(values)
+        assert got.n == 10_000
+        assert close(got.mean, mean)
+        assert close(got.ci_lo, lo)
+        assert close(got.ci_hi, hi)
+
+
+class TestTQuantile:
+    @pytest.mark.parametrize("p", [0.975, 0.995])
+    def test_matches_high_precision_oracle(self, p):
+        # Both regimes: the exact series up to df 1000, Cornish-Fisher above.
+        grid = [*range(1, 61), 999, 1000, 1001, 10_000, 100_000, 1_000_000]
+        off = [
+            df for df in grid
+            if not math.isclose(_t_quantile(p, df), float(oracles.t_quantile(p, df)),
+                                rel_tol=1e-12)
+        ]
+        assert off == []
 
 
 class TestSpearman:
