@@ -9,8 +9,10 @@ inputs and config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -220,29 +222,20 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     failures: list[tuple[str, str]] = []
     issues: list[tuple[str, str]] = []
 
-    def consume(result) -> None:
-        path_text, delta, counts, file_issues = result
-        if delta is None:
-            failures.append((path_text, file_issues[0]))
-            return
-        for key, value in counts.items():
-            totals[key] += value
-        for issue in file_issues:
-            issues.append((path_text, issue))
-        ledger.update(delta)
-
-    if workers == 1:
-        for i, path_text in enumerate(files, 1):
-            consume(_ingest_one(path_text, overrides_text))
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        work = (_ingest_one, files, itertools.repeat(overrides_text))
+        chunk = max(1, len(files) // (workers * 8))
+        results = pool.map(*work, chunksize=chunk) if pool else map(*work)
+        for i, (path_text, delta, counts, file_issues) in enumerate(results, 1):
+            if delta is None:
+                failures.append((path_text, file_issues[0]))
+            else:
+                for key, value in counts.items():
+                    totals[key] += value
+                issues.extend((path_text, issue) for issue in file_issues)
+                ledger.update(delta)
             if i % 200 == 0:
                 print(f"seccite: ingested {i}/{len(files)}", file=sys.stderr)
-    else:
-        chunk = max(1, len(files) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(
-                _ingest_one, files, [overrides_text] * len(files), chunksize=chunk
-            ):
-                consume(result)
 
     if totals["documents"] == 0:
         raise CliError(

@@ -15,9 +15,10 @@ text, or a block-element boundary, separates markers.
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Any, Iterable, Mapping, Sequence
+from xml.parsers import expat
 
 
 class JatsError(Exception):
@@ -257,39 +258,6 @@ def _collapse(text: str) -> str:
     return _WS.sub(" ", text).strip()
 
 
-def _local(tag: object) -> str:
-    """Local tag name; empty for comments/processing instructions."""
-    if isinstance(tag, str):
-        return tag.rpartition("}")[2]
-    return ""
-
-
-def _itertext(elem: ET.Element) -> str:
-    return _collapse("".join(elem.itertext()))
-
-
-def _first_local(elem: ET.Element, name: str) -> ET.Element | None:
-    for child in elem:
-        if _local(child.tag) == name:
-            return child
-    return None
-
-
-def _find_local(root: ET.Element, *path: str) -> ET.Element | None:
-    node: ET.Element | None = root
-    for name in path:
-        if node is None:
-            return None
-        node = _first_local(node, name)
-    return node
-
-
-def _iter_local(root: ET.Element, name: str) -> Iterable[ET.Element]:
-    for elem in root.iter():
-        if _local(elem.tag) == name:
-            yield elem
-
-
 _YEAR = re.compile(r"\d{4}")
 
 
@@ -307,126 +275,6 @@ _INLINE_TAGS = frozenset(
 )
 
 
-class _BodyWalker:
-    """Single document-order pass collecting body sections and raw markers."""
-
-    def __init__(self, ref_ids: set[str]):
-        self.ref_ids = ref_ids
-        self.roots: list[str] = []
-        # node id -> (depth, sec-type, title, child ids)
-        self._drafts: dict[str, tuple[int, str | None, str | None, list[str]]] = {}
-        self._stack: list[str] = []  # open sections; _stack[0] is the outer one
-        self._in_body = 0
-        self._counter = 0
-        self._char_pos = 0
-        self.markers: list[RawMarker] = []
-        self._open: list[str] | None = None
-        self._open_at: tuple[str | None, int] | None = None
-        self._gap: list[str] = []
-
-    def run(self, root: ET.Element) -> None:
-        self._visit(root)
-        self._flush()
-
-    def _visit(self, elem: ET.Element) -> None:
-        tag = _local(elem.tag)
-        if not tag:  # comment / processing instruction
-            self._text(elem.tail)
-            return
-        if tag == "body":
-            self._in_body += 1
-        opened_sec = False
-        if tag == "sec" and self._in_body:
-            self._open_section(elem)
-            opened_sec = True
-        if self._is_citation_xref(elem, tag):
-            self._xref(elem)
-            self._char_pos += len("".join(elem.itertext()))
-        else:
-            block = tag not in _INLINE_TAGS
-            if block:
-                self._flush()
-            self._text(elem.text)
-            for child in elem:
-                self._visit(child)
-            if block:
-                self._flush()
-        if opened_sec:
-            self._stack.pop()
-        if tag == "body":
-            self._in_body -= 1
-        self._text(elem.tail)
-
-    def _is_citation_xref(self, elem: ET.Element, tag: str) -> bool:
-        if tag != "xref":
-            return False
-        ref_type = elem.get("ref-type")
-        rids = (elem.get("rid") or "").split()
-        if ref_type == "bibr":
-            return bool(rids)
-        return ref_type is None and bool(rids) and all(r in self.ref_ids for r in rids)
-
-    def _open_section(self, elem: ET.Element) -> None:
-        self._counter += 1
-        node_id = f"s{self._counter}"
-        title_elem = _first_local(elem, "title")
-        title = _itertext(title_elem) if title_elem is not None else None
-        self._drafts[node_id] = (len(self._stack) + 1, elem.get("sec-type"), title, [])
-        if self._stack:
-            self._drafts[self._stack[-1]][3].append(node_id)
-        else:
-            self.roots.append(node_id)
-        self._stack.append(node_id)
-
-    def _text(self, text: str | None) -> None:
-        if not text:
-            return
-        self._char_pos += len(text)
-        if self._open is not None:
-            self._gap.append(text)
-
-    def _xref(self, elem: ET.Element) -> None:
-        rids = (elem.get("rid") or "").split()
-        if self._open is not None:
-            sep = re.sub(r"\s+", "", "".join(self._gap))
-            if sep in ("", ",", ";"):
-                self._open.append(LIST_SEPARATOR)
-            elif sep in RANGE_SEPARATORS:
-                self._open.append(sep)
-            else:
-                self._flush()
-        if self._open is None:
-            self._open = []
-            outer = self._stack[0] if self._stack else None
-            self._open_at = (outer, self._char_pos)
-        for i, rid in enumerate(rids):
-            if i:
-                self._open.append(LIST_SEPARATOR)
-            self._open.append(rid)
-        self._gap = []
-
-    def _flush(self) -> None:
-        if self._open is not None and self._open:
-            outer, offset = self._open_at  # type: ignore[misc]
-            self.markers.append(RawMarker(tuple(self._open), outer, offset))
-        self._open = None
-        self._open_at = None
-        self._gap = []
-
-    def tree(self) -> SectionTree:
-        nodes = {
-            node_id: SectionNode(
-                node_id=node_id,
-                depth=depth,
-                sec_type=sec_type,
-                title_raw=title,
-                children=tuple(children),
-            )
-            for node_id, (depth, sec_type, title, children) in self._drafts.items()
-        }
-        return SectionTree(nodes=nodes, roots=tuple(self.roots))
-
-
 def _byte_offset(data: bytes, line: int, column: int) -> int:
     """Approximate byte offset of a 1-based (line, column) parser position."""
     if line <= 1:
@@ -442,12 +290,246 @@ def _byte_offset(data: bytes, line: int, column: int) -> int:
 _ENCODING_DECL = re.compile(r'(<\?xml[^>]*?)\s+encoding\s*=\s*("[^"]*"|\'[^\']*\')')
 
 
-def parse_article(data: bytes, source: str = "<bytes>") -> ParsedArticle:
-    """Parse one JATS article file into a ParsedArticle.
+# Deepest element nesting parse_article reads, the root being depth 1.
+MAX_DEPTH = 1000
 
-    Raises XmlParseError for malformed XML (with an approximate byte offset)
-    and ArticleStructureError when the article metadata block is missing or
-    the body nests elements too deeply to walk.
+# Text that may join two citation xrefs into one marker, and the token it becomes.
+_JOINERS = {"": LIST_SEPARATOR, ",": LIST_SEPARATOR, ";": LIST_SEPARATOR,
+            **{dash: dash for dash in RANGE_SEPARATORS}}
+_CITATION_TAGS = ("element-citation", "mixed-citation", "citation", "nlm-citation")
+# Reference fields: the tag, the kind of value it holds, and how to read that value.
+_FIELD_KINDS = {"pub-id": "doi", "ext-link": "doi", "source": "source", "year": "year"}
+_FIELD_READERS = {"doi": normalize_doi, "source": lambda text: text or None, "year": _parse_year}
+# Article metadata: the tag, and the block it is read in.
+_META_TAGS = {"journal-title": "journal-meta", "issn": "journal-meta",
+              "article-id": "article-meta"}
+_SPAN_TAGS = frozenset({"title", *_META_TAGS, *_FIELD_KINDS})
+_META_BLOCKS = ("front", "journal-meta", "article-meta")
+_BEGIN_TAGS = _SPAN_TAGS | {"pub-date", "ref-list", "ref", "citation-alternatives", "body", "sec",
+                            "xref", *_META_BLOCKS, *_CITATION_TAGS}
+
+
+class _ArticlePass:
+    """State of parse_article's one expat pass over a file.
+
+    Character data goes straight into ``texts``; an element's text is the
+    slice of ``texts`` between its start and its end, a ``[start, end]`` span
+    read after the pass. ``stack`` holds a ``(tag, payload)`` frame per open
+    element: ``_begin`` returns the payload (a span, a draft or True) of an
+    element that matters, and ``end`` finishes it. An untyped xref is a
+    citation only if all its rids name references, so ``markers`` folds the
+    xrefs once the reference list is known.
+    """
+
+    def __init__(self) -> None:
+        self.texts: list[str] = []
+        self.stack: list[tuple[str, Any]] = []
+        self.root = ("", "")  # (tag, article-type)
+        self.too_deep = False
+        self.seen: set[str] = set()  # the root's first front, its first journal-/article-meta
+        self.region: str | None = None  # which of those is open
+        self.meta: dict[str, list[list[int]]] = {tag: [] for tag in _META_TAGS}
+        self.pub_dates: list[list] = []  # a [year span or None] slot per pub-date
+        self.ref_lists = 0
+        self.refs: list[tuple[str, list[list]]] = []  # (id, candidate citations) per ref
+        self.fields: list[tuple[str, list[int]]] = []  # (kind, span) inside a citation
+        self.citing = 0
+        self.in_body = 0
+        self.sections: dict[str, list] = {}  # id -> [depth, sec-type, title span, children]
+        self.roots: list[str] = []
+        self.open_sections: list[str] = []
+        self.blocks = 0  # starts and ends of non-inline elements so far
+        self.in_xref = False  # inside a citation xref, which is read as a whole
+        # [rids, typed, outer section, text start, text end, blocks at start, at end]
+        self.xrefs: list[list] = []
+
+    def run(self, text: str) -> None:
+        parser = expat.ParserCreate(namespace_separator="}")  # names come as "uri}local"
+        parser.buffer_text = True
+        parser.CharacterDataHandler = self.texts.append
+        parser.StartElementHandler = self.start
+        parser.EndElementHandler = self.end
+
+        def refuse_entity(name: str, *_: object) -> None:
+            # With an external DTD, expat skips an undefined or external entity
+            # without a word; dropping `&ndash;` can turn a range into a list.
+            # An external entity's name comes last in a \f-separated context.
+            line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
+            name = name.rpartition("\f")[2]
+            exc = expat.ExpatError(f"undefined entity &{name};: line {line}, column {column}")
+            exc.lineno, exc.offset = line, column
+            raise exc
+
+        parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = refuse_entity
+        try:
+            parser.Parse(text, True)
+        finally:  # break the parser-handler cycle, so the pass is freed without the GC
+            parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = None
+
+    def start(self, name: str, attrs: dict[str, str]) -> None:
+        tag = name.rpartition("}")[2]
+        stack = self.stack
+        payload = None
+        if not stack:
+            self.root = (tag, attrs.get("article-type") or "")
+        elif tag in _BEGIN_TAGS:
+            payload = self._begin(tag, stack[-1], len(stack), attrs)
+        if tag not in _INLINE_TAGS:
+            self.blocks += 1
+        stack.append((tag, payload))
+        if len(stack) > MAX_DEPTH:
+            self.too_deep = True
+
+    def _begin(self, tag: str, parent: tuple[str, Any], parent_depth: int, attrs: dict[str, str]):
+        """The payload of an element below the root whose tag is in _BEGIN_TAGS."""
+        parent_tag, above = parent
+        if tag in _SPAN_TAGS:
+            span = [len(self.texts), 0]
+            if tag in _FIELD_KINDS:
+                doi = attrs.get(tag + "-type") == "doi"
+                if self.citing and (doi or tag in ("source", "year")):
+                    self.fields.append((_FIELD_KINDS[tag], span))
+                if tag == "year" and parent_tag == "pub-date" and above and above[0] is None:
+                    above[0] = span
+            elif tag == "title":
+                if parent_tag == "sec" and above is not None and above[2] is None:
+                    above[2] = span
+            elif self.region == _META_TAGS[tag] and (
+                tag != "article-id" or attrs.get("pub-id-type") == "doi"
+            ):
+                self.meta[tag].append(span)
+            return span
+        if tag == "xref":
+            rids = (attrs.get("rid") or "").split()
+            if self.in_xref or not rids or attrs.get("ref-type", "bibr") != "bibr":
+                return None
+            self.in_xref = True
+            outer = self.open_sections[0] if self.open_sections else None
+            self.xrefs.append(
+                [rids, "ref-type" in attrs, outer, len(self.texts), 0, self.blocks, 0]
+            )
+            return self.xrefs[-1]
+        if tag in _CITATION_TAGS and above and parent_tag in ("ref", "citation-alternatives"):
+            self.citing += 1
+            above[1].append([tag, attrs.get("publication-type"), len(self.fields), 0])
+            return above[1][-1]
+        if tag == "ref" and self.ref_lists:
+            self.refs.append((attrs.get("id") or "", []))
+            return self.refs[-1]
+        if tag == "citation-alternatives" and parent_tag == "ref":
+            return above
+        if tag == "ref-list":
+            self.ref_lists += 1
+            return True
+        if tag == "sec" and self.in_body and not self.in_xref:
+            node_id = f"s{len(self.sections) + 1}"
+            opened = self.open_sections
+            (self.sections[opened[-1]][3] if opened else self.roots).append(node_id)
+            self.sections[node_id] = [len(opened) + 1, attrs.get("sec-type"), None, []]
+            opened.append(node_id)
+            return self.sections[node_id]
+        if tag == "body" and not self.in_xref:
+            self.in_body += 1
+            return True
+        if tag == "pub-date" and self.region == "article-meta":
+            self.pub_dates.append([None])
+            return self.pub_dates[-1]
+        if tag in _META_BLOCKS and tag not in self.seen and (
+            parent_depth == 1 if tag == "front" else parent == ("front", True)
+        ):
+            self.seen.add(tag)
+            self.region = tag
+            return True
+        return None
+
+    def end(self, name: str) -> None:
+        tag, payload = self.stack.pop()
+        if tag not in _INLINE_TAGS:
+            self.blocks += 1
+        if payload is None:
+            return
+        if tag in _SPAN_TAGS:
+            payload[1] = len(self.texts)
+        elif tag == "xref":
+            payload[4], payload[6] = len(self.texts), self.blocks
+            self.in_xref = False
+        elif tag == "sec":
+            self.open_sections.pop()
+        elif tag in _CITATION_TAGS:
+            payload[3] = len(self.fields)
+            self.citing -= 1
+        elif tag == "body":
+            self.in_body -= 1
+        elif tag == "ref-list":
+            self.ref_lists -= 1
+        elif tag in _META_BLOCKS:
+            self.region = None
+
+    def text(self, span: list[int]) -> str:
+        return _collapse("".join(self.texts[span[0]:span[1]]))
+
+    def references(self, issues: list[str]) -> list[ReferenceEntry]:
+        references: list[ReferenceEntry] = []
+        seen: set[str] = set()
+        anon = 0
+        for ref_id, cites in self.refs:
+            if not ref_id:
+                anon += 1
+                ref_id = f"_anon{anon}"
+            if ref_id in seen:
+                issues.append(f"duplicate reference id {ref_id!r}; later entry kept unresolvable")
+                ref_id = f"{ref_id}__dup{len(references)}"
+            seen.add(ref_id)
+            # the first citation of the best kind, direct or in <citation-alternatives>
+            best = min(cites, key=lambda cite: _CITATION_TAGS.index(cite[0]), default=None)
+            _, pub_type, first, last = best or ("", None, 0, 0)
+            found: dict[str, object] = {}
+            for kind, span in self.fields[first:last]:
+                if found.get(kind) is None:
+                    found[kind] = _FIELD_READERS[kind](self.text(span))
+            references.append(ReferenceEntry(
+                ref_id, found.get("doi"), found.get("source"), found.get("year"), pub_type
+            ))
+        return references
+
+    def section_tree(self) -> SectionTree:
+        nodes = {
+            node_id: SectionNode(node_id, depth, sec_type, title and self.text(title), tuple(kids))
+            for node_id, (depth, sec_type, title, kids) in self.sections.items()
+        }
+        return SectionTree(nodes, tuple(self.roots))
+
+    def markers(self, ref_ids: set[str]) -> list[RawMarker]:
+        """Runs of citation xrefs with no block boundary and only a separator between."""
+        texts = self.texts
+        offsets = list(accumulate(map(len, texts), initial=0)) if self.xrefs else []
+        markers: list[tuple[list[str], str | None, int]] = []
+        tokens: list[str] = []
+        last_end, last_blocks = 0, -1
+        for rids, typed, outer, start, end, blocks, blocks_after in self.xrefs:
+            if not typed and not all(rid in ref_ids for rid in rids):
+                last_blocks = -1  # an xref to something else is a block boundary
+                continue
+            sep = None
+            if blocks == last_blocks:
+                sep = _JOINERS.get(_WS.sub("", "".join(texts[last_end:start])))
+            if sep is None:
+                tokens = []
+                markers.append((tokens, outer, offsets[start]))
+            for rid in rids:
+                tokens += (sep, rid) if sep else (rid,)
+                sep = LIST_SEPARATOR
+            last_end, last_blocks = end, blocks_after
+        return [RawMarker(tuple(t), outer, offset) for t, outer, offset in markers]
+
+
+def parse_article(data: bytes, source: str = "<bytes>") -> ParsedArticle:
+    """Parse one JATS article file into a ParsedArticle, in one expat pass.
+
+    Raises XmlParseError for malformed XML (with an approximate byte offset),
+    an undefined or external entity included, and ArticleStructureError when
+    the root is not <article>, the article metadata block is missing, or
+    elements nest deeper than MAX_DEPTH.
     Input is treated as UTF-8; undecodable bytes are replaced and noted as an
     issue rather than failing the file.
     """
@@ -458,123 +540,35 @@ def parse_article(data: bytes, source: str = "<bytes>") -> ParsedArticle:
         text = data.decode("utf-8", errors="replace")
         issues.append("input was not valid UTF-8; bad bytes replaced")
     text = _ENCODING_DECL.sub(r"\1", text, count=1)
+    state = _ArticlePass()
     try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        line, column = getattr(exc, "position", (1, 0))
-        raise XmlParseError(source, _byte_offset(data, line, column), str(exc)) from exc
+        state.run(text)
+    except expat.ExpatError as exc:
+        raise XmlParseError(source, _byte_offset(data, exc.lineno, exc.offset), str(exc)) from exc
 
-    if _local(root.tag) != "article":
-        raise ArticleStructureError(source, f"root element is {_local(root.tag)!r}, not article")
-    front = _find_local(root, "front")
-    article_meta = _first_local(front, "article-meta") if front is not None else None
-    if article_meta is None:
+    root, article_type = state.root
+    if root != "article":
+        raise ArticleStructureError(source, f"root element is {root!r}, not article")
+    if "article-meta" not in state.seen:
         raise ArticleStructureError(source, "missing front/article-meta block")
+    if state.too_deep:
+        raise ArticleStructureError(source, "element nesting too deep")
 
-    journal_title = ""
-    issns: list[str] = []
-    journal_meta = _first_local(front, "journal-meta") if front is not None else None
-    if journal_meta is not None:
-        for elem in journal_meta.iter():
-            name = _local(elem.tag)
-            if name == "journal-title" and not journal_title:
-                journal_title = _itertext(elem)
-            elif name == "issn":
-                for value in _itertext(elem).split(";"):
-                    value = value.strip()
-                    if value and value not in issns:
-                        issns.append(value)
-
-    doi = None
-    for elem in _iter_local(article_meta, "article-id"):
-        if elem.get("pub-id-type") == "doi":
-            doi = normalize_doi(_itertext(elem))
-            break
-    pub_year = None
-    for date_elem in _iter_local(article_meta, "pub-date"):
-        year_elem = _first_local(date_elem, "year")
-        if year_elem is not None:
-            pub_year = _parse_year(_itertext(year_elem))
-            if pub_year is not None:
-                break
-
+    meta = {tag: [state.text(span) for span in spans] for tag, spans in state.meta.items()}
+    issns = (part.strip() for issn in meta["issn"] for part in issn.split(";"))
+    years = (_parse_year(state.text(span)) for span, in state.pub_dates if span)
     record = ArticleRecord(
         source_path=source,
-        article_type=root.get("article-type") or "",
-        journal_title=journal_title,
-        issn_list=tuple(issns),
-        doi=doi,
-        pub_year=pub_year,
+        article_type=article_type,
+        journal_title=next(filter(None, meta["journal-title"]), ""),
+        issn_list=tuple(dict.fromkeys(filter(None, issns))),
+        doi=normalize_doi(meta["article-id"][0]) if meta["article-id"] else None,
+        pub_year=next((year for year in years if year is not None), None),
     )
-
-    references = _parse_references(root, issues)
-    ref_ids = {ref.ref_id for ref in references}
-
-    walker = _BodyWalker(ref_ids)
-    try:
-        walker.run(root)
-    except RecursionError:
-        raise ArticleStructureError(source, "element nesting too deep") from None
+    references = state.references(issues)
     ref_order = [ref.ref_id for ref in references]
-    citations, cite_issues = locate_in_text_citations(walker.markers, ref_order)
+    citations, cite_issues = locate_in_text_citations(state.markers(set(ref_order)), ref_order)
     issues.extend(cite_issues)
-
     return ParsedArticle(
-        record=record,
-        sections=walker.tree(),
-        references=tuple(references),
-        citations=tuple(citations),
-        issues=tuple(issues),
-    )
-
-
-_CITATION_TAGS = ("element-citation", "mixed-citation", "citation", "nlm-citation")
-
-
-def _parse_references(root: ET.Element, issues: list[str]) -> list[ReferenceEntry]:
-    references: list[ReferenceEntry] = []
-    seen: set[str] = set()
-    anon = 0
-    for ref_list in _iter_local(root, "ref-list"):
-        for ref in _iter_local(ref_list, "ref"):
-            ref_id = ref.get("id") or ""
-            if not ref_id:
-                anon += 1
-                ref_id = f"_anon{anon}"
-            if ref_id in seen:
-                issues.append(f"duplicate reference id {ref_id!r}; later entry kept unresolvable")
-                ref_id = f"{ref_id}__dup{len(references)}"
-            seen.add(ref_id)
-            references.append(_reference_entry(ref, ref_id))
-    return references
-
-
-def _reference_entry(ref: ET.Element, ref_id: str) -> ReferenceEntry:
-    citation = None
-    for tag in _CITATION_TAGS:
-        citation = _first_local(ref, tag)
-        if citation is not None:
-            break
-    doi = None
-    journal = None
-    year = None
-    pub_type = None
-    if citation is not None:
-        pub_type = citation.get("publication-type")
-        for elem in citation.iter():
-            name = _local(elem.tag)
-            if name == "pub-id" and elem.get("pub-id-type") == "doi" and doi is None:
-                doi = normalize_doi(_itertext(elem))
-            elif name == "ext-link" and elem.get("ext-link-type") == "doi" and doi is None:
-                doi = normalize_doi(_itertext(elem))
-            elif name == "source" and journal is None:
-                journal = _itertext(elem) or None
-            elif name == "year" and year is None:
-                year = _parse_year(_itertext(elem))
-    return ReferenceEntry(
-        ref_id=ref_id,
-        cited_doi=doi,
-        cited_journal_title=journal,
-        cited_year=year,
-        pub_type_label=pub_type,
+        record, state.section_tree(), tuple(references), tuple(citations), tuple(issues)
     )

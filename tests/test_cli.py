@@ -87,6 +87,18 @@ class TestIngestCommand:
                    "--workers", "4") == 0
         assert ledger_bytes(seq) == ledger_bytes(par)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_progress_reported_at_any_worker_count(self, tmp_path, capsys, workers):
+        corpus = tmp_path / "many"
+        corpus.mkdir()
+        for i in range(201):
+            (corpus / f"a{i:03d}.xml").write_bytes(make_article())
+        assert run("ingest", "--corpus-dir", str(corpus), "--output-dir", str(tmp_path / "out"),
+                   "--workers", workers) == 0
+        err = capsys.readouterr().err
+        assert "seccite: ingested 200/201" in err
+        assert "documents seen 201" in err
+
     def test_empty_corpus_dir_fails(self, tmp_path, capsys):
         empty = tmp_path / "none"
         empty.mkdir()

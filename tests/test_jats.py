@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import gc
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seccite.jats import (
+    MAX_DEPTH,
     ArticleStructureError,
     ExpansionError,
+    JatsError,
     XmlParseError,
     expand_citation_list,
     is_research_article,
@@ -79,6 +83,50 @@ class TestParseArticle:
         assert "deep.xml" in str(excinfo.value)
         assert "nesting too deep" in str(excinfo.value)
 
+    def test_nesting_cap_is_max_depth(self):
+        def nested(depth: int) -> bytes:  # article (1) > body (2) > list > ... down to depth
+            return make_article(body="<list>" * (depth - 2) + "</list>" * (depth - 2))
+
+        assert parse_article(nested(MAX_DEPTH), "cap.xml").record.doi == "10.1000/fixture"
+        with pytest.raises(ArticleStructureError, match="nesting too deep"):
+            parse_article(nested(MAX_DEPTH + 1), "over.xml")
+        with pytest.raises(XmlParseError):  # not well-formed outranks too deep
+            parse_article(nested(MAX_DEPTH + 1)[:-20], "over-and-cut.xml")
+
+    @pytest.mark.parametrize(
+        "doctype, entity",
+        [
+            ('<!DOCTYPE article SYSTEM "JATS-archivearticle1.dtd">', "&ndash;"),
+            ('<!DOCTYPE article [<!ENTITY dash SYSTEM "dash.xml">]>', "&dash;"),
+        ],
+    )
+    def test_undefined_or_external_entity_is_parse_error(self, doctype, entity):
+        # skipping the entity would join [1] and [2] into a list, not a range
+        body = f"<sec><title>Introduction</title><p>{xref('r1')}{entity}{xref('r2')}</p></sec>"
+        xml = make_article(body=body).replace(b"<article ", f"{doctype}\n<article ".encode(), 1)
+        with pytest.raises(XmlParseError, match=f"undefined entity {entity}"):
+            parse_article(xml, "entity.xml")
+
+    def test_internal_entity_is_expanded(self):
+        body = f"<sec><title>Introduction</title><p>{xref('r1')}&dash;{xref('r3')}</p></sec>"
+        xml = make_article(body=body, refs=ref_entries(4)).replace(
+            b"<article ", b'<!DOCTYPE article [<!ENTITY dash "&#x2013;">]>\n<article ', 1
+        )
+        (citation,) = parse_article(xml, "internal.xml").citations
+        assert citation.ref_ids == ("r1", "r2", "r3")
+
+    def test_parse_leaves_no_reference_cycles(self):
+        # a cycle would keep each file's parse state alive until the cycle
+        # collector runs, and ingest would pay for the extra collections
+        data = make_article(body=f"<sec><title>Results</title><p>{xref('r1')}</p></sec>")
+        gc.collect()
+        gc.disable()
+        try:
+            parse_article(data, "cycles.xml")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_issn_list_split_on_semicolons(self):
         article = parse_article(make_article(issn="1234-5678; 9999-0000"), "issn.xml")
         assert article.record.issn_list == ("1234-5678", "9999-0000")
@@ -99,6 +147,29 @@ class TestParseArticle:
         assert first.cited_year == 2012
         assert first.pub_type_label == "journal"
         assert second.cited_doi == "10.2000/bbb"
+
+    def test_nested_ref_list_reads_each_ref_once(self):
+        refs = (
+            '<ref-list><ref id="a"><element-citation>'
+            '<pub-id pub-id-type="doi">10.2000/aaa</pub-id></element-citation></ref></ref-list>'
+        )
+        article = parse_article(make_article(refs=refs), "nested-refs.xml")
+        assert [ref.ref_id for ref in article.references] == ["a"]
+        assert article.issues == ()
+
+    def test_citation_inside_citation_alternatives(self):
+        refs = (
+            '<ref id="r1"><citation-alternatives>'
+            '<mixed-citation publication-type="book"><source>Mixed</source></mixed-citation>'
+            '<element-citation publication-type="journal"><source>Element</source>'
+            '<year>2015</year><pub-id pub-id-type="doi">10.2000/alt</pub-id></element-citation>'
+            "</citation-alternatives></ref>"
+        )
+        (ref,) = parse_article(make_article(refs=refs), "alternatives.xml").references
+        # element-citation outranks mixed-citation, as among direct children
+        assert (ref.cited_doi, ref.cited_journal_title, ref.cited_year, ref.pub_type_label) == (
+            "10.2000/alt", "Element", 2015, "journal"
+        )
 
     def test_reference_without_doi_is_retained(self):
         refs = ref_entries(3, doi_for=lambda i: None if i == 2 else f"10.2000/ref{i}")
@@ -298,6 +369,69 @@ class TestRangeExpansion:
         (citation,) = article.citations
         assert citation.ref_ids == ("r1",)
         assert any("r9" in issue for issue in article.issues)
+
+
+_FUZZ_BASE = make_article(
+    body=(
+        "<sec><title>Introduction</title>"
+        f"<p>See {xref('r1')}–{xref('r3')}, {xref('r2')} and "
+        '<xref rid="r4">[4]</xref>.</p></sec>'
+    ),
+    refs=ref_entries(4),
+)
+# Each inserted at a random byte or after a random tag.
+_FUZZ_INSERTS = (
+    b"<list>" * (MAX_DEPTH + 5) + b"</list>" * (MAX_DEPTH + 5),
+    b"<list>" * 40,
+    b'<xref ref-type="bibr" rid="r1">[1]</xref>',
+    b'<xref rid="r9 r1">[9]</xref>',
+    b'<xref ref-type="bibr" rid=" ">[?]</xref>',
+    b'<xref rid="r2"><xref ref-type="bibr" rid="r3"/><sec><title>X</title></sec></xref>',
+    b'<ref id="r1"><mixed-citation><pub-id pub-id-type="doi">10.2/d</pub-id></mixed-citation></ref>',
+    b"<ref-list><ref><citation-alternatives><element-citation/></citation-alternatives></ref>"
+    b"</ref-list>",
+    b'<sec id="s1"><title>Methods</title>',
+    b"</sec>",
+    b"&nbsp;",
+    b"&int;",
+    b"&ext;",
+    b"&#x2013;",
+    b"&#0;",
+    b"\xff",
+    b"\xc3(",
+    b"\xed\xa0\x80",
+)
+_FUZZ_DOCTYPES = (
+    b"",
+    b'<!DOCTYPE article SYSTEM "JATS-archivearticle1.dtd">\n',
+    b'<!DOCTYPE article [<!ENTITY int "&#x2013;"><!ENTITY ext SYSTEM "ext.xml">]>\n',
+)
+
+
+@st.composite
+def mutated_articles(draw) -> bytes:
+    """Truncated or spliced articles, with deep nesting, stray and duplicate
+    xrefs and ids, undefined, external and internal entities, and bad UTF-8."""
+    doc = bytearray(_FUZZ_BASE)
+    doctype = draw(st.sampled_from(_FUZZ_DOCTYPES))
+    root = doc.index(b"<article ")
+    doc[root:root] = doctype
+    for _ in range(draw(st.integers(0, 4))):
+        after_tags = [i + 1 for i, byte in enumerate(doc) if byte == ord(">")]
+        at = draw(st.integers(0, len(doc)) | st.sampled_from(after_tags))
+        doc[at:at] = draw(st.sampled_from(_FUZZ_INSERTS))
+    if draw(st.booleans()):
+        del doc[draw(st.integers(0, len(doc))):]
+    return bytes(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_articles())
+def test_mutated_article_parses_or_raises_jats_error(data):
+    try:
+        parse_article(data, "fuzz.xml")
+    except JatsError:
+        pass
 
 
 class TestExpandCitationList:
