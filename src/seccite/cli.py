@@ -29,6 +29,7 @@ from .metrics import (
     CORRELATION_AXES,
     SHARE_COLUMNS,
     anchored_subset_geomeans,
+    cited_dois,
     correlation_tables,
     share_by_field,
     top_share_articles,
@@ -399,11 +400,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
         raise CliError(f"ledger not found (--ledger-dir): {exc}") from exc
     field_map = load_classification(classification, extension)
 
+    cited = cited_dois(ledger, field_map)
     share_source = share_by_field(ledger, field_map, "source-field")
-    share_target = share_by_field(ledger, field_map, "target-field")
-    anchored = anchored_subset_geomeans(ledger, field_map)
-    correlations = correlation_tables(ledger, field_map, year)
-    top = top_share_articles(ledger, min_total=min_total, k=2)
+    share_target = share_by_field(ledger, field_map, "target-field", cited)
+    anchored = anchored_subset_geomeans(ledger, field_map, cited)
+    correlations = correlation_tables(ledger, field_map, year, cited)
+    top = top_share_articles(ledger, min_total=min_total, k=2, cited=cited)
 
     # Inputs are named by content, so the same inputs at another path give
     # the same bundle.

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Container, Iterable, Mapping, Sequence
 from xml.parsers import expat
 
 
@@ -173,9 +173,15 @@ def expand_citation_list(
     Raises ExpansionError for reversed ranges, unknown ref-ids, or a
     malformed token sequence.
     """
+    return _expand(tokens, all_refs, {ref_id: i for i, ref_id in enumerate(all_refs)})
+
+
+def _expand(
+    tokens: Sequence[str], all_refs: Sequence[str], order: Mapping[str, int]
+) -> tuple[str, ...]:
+    """expand_citation_list with `order` mapping each ref-id to its position."""
     if not tokens:
         raise ExpansionError("empty citation marker")
-    order = {ref_id: i for i, ref_id in enumerate(all_refs)}
     refs = list(tokens[0::2])
     seps = list(tokens[1::2])
     if len(refs) != len(seps) + 1 or any(r in _SEPARATORS for r in refs) or any(
@@ -207,11 +213,11 @@ def locate_in_text_citations(
     Range failures skip the whole marker (recorded); an unknown ref-id away
     from any range token is dropped individually.
     """
-    known = set(ref_order)
+    order = {ref_id: i for i, ref_id in enumerate(ref_order)}
     citations: list[InTextCitation] = []
     issues: list[str] = []
     for marker in markers:
-        tokens, issue = _drop_unknown_refs(marker.tokens, known)
+        tokens, issue = _drop_unknown_refs(marker.tokens, order)
         if issue:
             issues.append(issue)
             if tokens is None:
@@ -219,7 +225,7 @@ def locate_in_text_citations(
         if not tokens:
             continue
         try:
-            ref_ids = expand_citation_list(tokens, ref_order)
+            ref_ids = _expand(tokens, ref_order, order)
         except ExpansionError as exc:
             issues.append(f"citation skipped: {exc}")
             continue
@@ -228,9 +234,13 @@ def locate_in_text_citations(
 
 
 def _drop_unknown_refs(
-    tokens: tuple[str, ...], known: set[str]
+    tokens: tuple[str, ...], known: Container[str]
 ) -> tuple[tuple[str, ...] | None, str | None]:
-    """Strip unknown non-range ref-ids; None tokens means skip the marker."""
+    """Strip unknown non-range ref-ids; None tokens means skip the marker.
+
+    Each kept ref-id keeps the separator in front of it, so ranges elsewhere
+    in the marker survive. Only list separators flank a dropped ref-id.
+    """
     refs = list(tokens[0::2])
     seps = list(tokens[1::2])
     unknown = [i for i, r in enumerate(refs) if r not in known]
@@ -241,13 +251,13 @@ def _drop_unknown_refs(
         after = seps[i] if i < len(seps) else None
         if before in RANGE_SEPARATORS or after in RANGE_SEPARATORS:
             return None, f"citation skipped: unknown range endpoint {refs[i]!r}"
-    kept_refs = [r for i, r in enumerate(refs) if i not in set(unknown)]
     dropped = [refs[i] for i in unknown]
     rebuilt: list[str] = []
-    for ref_id in kept_refs:
-        if rebuilt:
-            rebuilt.append(LIST_SEPARATOR)
-        rebuilt.append(ref_id)
+    for i, ref_id in enumerate(refs):
+        if ref_id in known:
+            if rebuilt:
+                rebuilt.append(seps[i - 1])
+            rebuilt.append(ref_id)
     return tuple(rebuilt), f"unknown reference id(s) dropped: {', '.join(dropped)}"
 
 

@@ -322,38 +322,60 @@ def write_ledger(ledger: Ledger, directory: str | Path, stem: str = "ledger") ->
     return paths
 
 
-def _read_rows(path: Path) -> Iterable[list[str]]:
+def _read_rows(path: Path) -> Iterable[tuple[int, list[str]]]:
+    """(line number, cells) for each row after the header."""
     with path.open("r", encoding="utf-8", newline="\n") as handle:
         header = handle.readline()
         width = len(header.rstrip("\n").split("\t"))
-        for line in handle:
-            yield line.rstrip("\n").split("\t", width - 1)
+        for number, line in enumerate(handle, start=2):
+            yield number, line.rstrip("\n").split("\t", width - 1)
+
+
+def _parse_weight(cell: str, path: Path, line: int) -> Fraction:
+    """An exact weight as _format_fraction writes it: integers "n/d", d > 0."""
+    numerator, _, denominator = cell.partition("/")
+    try:
+        n, d = int(numerator), int(denominator)
+        if d > 0:
+            return Fraction(n, d)
+    except ValueError:
+        pass
+    raise ValueError(f"{path}, line {line}: weight {cell!r} is not n/d with integers n and d > 0")
+
+
+def _section_weights(cells: list[str], path: Path, line: int) -> dict[CanonicalSection, Fraction]:
+    """The nonzero weights among a row's six section cells."""
+    weights = {}
+    for section, cell in zip(SECTION_ORDER, cells):
+        if cell != "0/1":
+            value = _parse_weight(cell, path, line)
+            if value:
+                weights[section] = value
+    return weights
 
 
 def read_ledger(directory: str | Path, stem: str = "ledger") -> Ledger:
-    """Load a ledger written by write_ledger; exact inverse."""
+    """Load a ledger written by write_ledger; exact inverse.
+
+    Raises ValueError naming the file and line for a weight cell that is not
+    "n/d" with integers n and d > 0.
+    """
     main, cohort, meta, sources, targets = ledger_files(directory, stem)
     ledger = Ledger()
 
     if not main.exists():
         raise FileNotFoundError(f"ledger file not found: {main}")
-    for row in _read_rows(main):
-        doi, cells = row[0], row[1:]
-        counts = {}
-        for section, cell in zip(SECTION_ORDER, cells):
-            value = Fraction(cell)
-            if value:
-                counts[section] = value
-        ledger.vectors[doi] = counts
-        ledger.cohort_index.setdefault(doi, set())
+    for line, row in _read_rows(main):
+        ledger.vectors[row[0]] = _section_weights(row[1:], main, line)
+        ledger.cohort_index.setdefault(row[0], set())
 
-    for row in _read_rows(cohort):
+    for _, row in _read_rows(cohort):
         doi, journal, year = row
         ledger.cohort_index.setdefault(doi, set()).add(
             (journal, int(year) if year else None)
         )
 
-    for row in _read_rows(meta):
+    for _, row in _read_rows(meta):
         doi, kind, value, count = row
         if kind == "journal":
             ledger.cited_journals.setdefault(doi, Counter())[value] += int(count)
@@ -362,17 +384,13 @@ def read_ledger(directory: str | Path, stem: str = "ledger") -> Ledger:
         else:
             raise ValueError(f"unknown meta kind {kind!r} in {meta.name}")
 
-    for row in _read_rows(sources):
+    for line, row in _read_rows(sources):
         journal, issns = row[0], row[1]
         cells = row[2:]
-        counts = {}
-        for section, cell in zip(SECTION_ORDER, cells):
-            value = Fraction(cell)
-            if value:
-                counts[section] = value
+        counts = _section_weights(cells, sources, line)
         if counts:
             ledger.source_sections[journal] = counts
-        other = Fraction(cells[-1])
+        other = _parse_weight(cells[-1], sources, line)
         if other:
             ledger.source_other[journal] = other
         if issns:
@@ -380,8 +398,8 @@ def read_ledger(directory: str | Path, stem: str = "ledger") -> Ledger:
         else:
             ledger.source_issns.setdefault(journal, set())
 
-    for row in _read_rows(targets):
+    for line, row in _read_rows(targets):
         title, weight = row
-        ledger.target_other[title] = Fraction(weight)
+        ledger.target_other[title] = _parse_weight(weight, targets, line)
 
     return ledger

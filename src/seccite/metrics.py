@@ -10,12 +10,13 @@ floats only here, at the metrics boundary.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import atan, exp, expm1, fsum, lgamma, log, log1p, pi, sqrt
+from math import atan, exp, expm1, fsum, lcm, lgamma, log, log1p, pi, sqrt
 from statistics import NormalDist, median
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .fields import FieldMap, field_of
 from .ledger import OTHER_COLUMN, Ledger, modal_cited_journal, resolve_cited_year
@@ -138,6 +139,25 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
+def _centred_ranks(values: Sequence[float]) -> tuple[list[float], float]:
+    """Average ranks less their mean, and the sum of their squares."""
+    ranks = _average_ranks(values)
+    mean = fsum(ranks) / len(ranks)
+    centred = [r - mean for r in ranks]
+    return centred, fsum(d * d for d in centred)
+
+
+def _rank_correlation(
+    x: tuple[list[float], float], y: tuple[list[float], float]
+) -> float | None:
+    """Pearson correlation of two `_centred_ranks` results."""
+    (dx, sxx), (dy, syy) = x, y
+    if sxx == 0.0 or syy == 0.0:
+        return None
+    r = fsum(a * b for a, b in zip(dx, dy)) / sqrt(sxx * syy)
+    return max(-1.0, min(1.0, r))
+
+
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     """Spearman rank correlation; ties get average ranks.
 
@@ -148,19 +168,7 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise ValueError("spearman requires at least two observations")
-    rx = _average_ranks(xs)
-    ry = _average_ranks(ys)
-    n = len(rx)
-    mx = fsum(rx) / n
-    my = fsum(ry) / n
-    dx = [r - mx for r in rx]
-    dy = [r - my for r in ry]
-    sxx = fsum(d * d for d in dx)
-    syy = fsum(d * d for d in dy)
-    if sxx == 0.0 or syy == 0.0:
-        return None
-    r = fsum(a * b for a, b in zip(dx, dy)) / sqrt(sxx * syy)
-    return max(-1.0, min(1.0, r))
+    return _rank_correlation(_centred_ranks(xs), _centred_ranks(ys))
 
 
 # ---------------------------------------------------------------------------
@@ -168,27 +176,61 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class _CitedDoi:
-    """One ledger DOI as the target-field tables read it."""
+def _exact_sum(weights: Iterable[Fraction]) -> Fraction:
+    """Exact sum that adds integer numerators per denominator and builds one
+    Fraction at the end, instead of normalizing after every addition."""
+    by_denominator: dict[int, int] = {}
+    for weight in weights:
+        denominator = weight.denominator
+        by_denominator[denominator] = by_denominator.get(denominator, 0) + weight.numerator
+    common = lcm(*by_denominator)
+    return Fraction(
+        sum(numerator * (common // d) for d, numerator in by_denominator.items()), common
+    )
 
+
+@dataclass(frozen=True, slots=True)
+class CitedDoi:
+    """One ledger DOI as the per-DOI tables read it."""
+
+    doi: str
     vector: Mapping[CanonicalSection, Fraction]
     counts: tuple[float, ...]  # float(vector[s]) for s in SECTION_ORDER
+    total: Fraction  # exact sum of vector
     year: int | None  # modal cited year
 
 
-def _cited_by_field(ledger: Ledger, field_map: FieldMap) -> dict[str | None, list[_CitedDoi]]:
-    """Ledger DOIs in DOI order, grouped by the field of their modal cited
-    journal; DOIs that match no field sit under None."""
-    grouped: dict[str | None, list[_CitedDoi]] = {}
+@dataclass(frozen=True)
+class CitedDois:
+    """Every ledger DOI resolved once, in DOI order, and the same DOIs grouped
+    by the field of their modal cited journal (None: no field matched)."""
+
+    dois: tuple[CitedDoi, ...]
+    by_field: Mapping[str | None, Sequence[CitedDoi]]
+
+
+def cited_dois(ledger: Ledger, field_map: FieldMap) -> CitedDois:
+    """Resolve each ledger DOI once: its float counts, exact total, modal
+    cited year and field. The tables take the result as `cited`, so one
+    `stats` run resolves each DOI once rather than once per table."""
+    fields: dict[str, str | None] = {}  # modal cited-journal title -> field
+    dois: list[CitedDoi] = []
+    by_field: dict[str | None, list[CitedDoi]] = {}
     for doi in ledger.dois():
         vector = ledger.vectors[doi]
-        counts = tuple(float(vector[s]) if s in vector else 0.0 for s in SECTION_ORDER)
-        field = field_of(field_map, modal_cited_journal(ledger, doi))
-        grouped.setdefault(field, []).append(
-            _CitedDoi(vector, counts, resolve_cited_year(ledger, doi))
+        counts = tuple(
+            w.numerator / w.denominator if (w := vector.get(s)) is not None else 0.0
+            for s in SECTION_ORDER
         )
-    return grouped
+        entry = CitedDoi(
+            doi, vector, counts, _exact_sum(vector.values()), resolve_cited_year(ledger, doi)
+        )
+        title = modal_cited_journal(ledger, doi)
+        if title not in fields:
+            fields[title] = field_of(field_map, title)
+        dois.append(entry)
+        by_field.setdefault(fields[title], []).append(entry)
+    return CitedDois(tuple(dois), by_field)
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +265,15 @@ def _seven(counts: Mapping[CanonicalSection, Fraction], other: Fraction) -> list
     return row
 
 
-def share_by_field(ledger: Ledger, field_map: FieldMap, perspective: str) -> ShareTable:
+def share_by_field(
+    ledger: Ledger, field_map: FieldMap, perspective: str, cited: CitedDois | None = None
+) -> ShareTable:
     """Citation-weight shares per field over seven columns (six sections + other).
 
     source-field groups by the citing journal's field; target-field groups by
     the cited DOI's field via its modal cited-journal title. Journals that
-    match no field are gathered under an "unclassified" row.
+    match no field are gathered under an "unclassified" row. `cited` is
+    `cited_dois(ledger, field_map)` when the caller already has it.
     """
     if perspective not in ("source-field", "target-field"):
         raise ValueError(f"unknown perspective {perspective!r}")
@@ -251,11 +296,16 @@ def share_by_field(ledger: Ledger, field_map: FieldMap, perspective: str) -> Sha
             ):
                 row[i] += value
     else:
-        for field, cited in _cited_by_field(ledger, field_map).items():
+        if cited is None:
+            cited = cited_dois(ledger, field_map)
+        for field, group in cited.by_field.items():
+            columns: dict[CanonicalSection, list[Fraction]] = {s: [] for s in SECTION_ORDER}
+            for doi in group:
+                for section, weight in doi.vector.items():
+                    columns[section].append(weight)
             row = bucket(field)
-            for doi in cited:
-                for i, section in enumerate(SECTION_ORDER):
-                    row[i] += doi.vector.get(section, Fraction(0))
+            for i, section in enumerate(SECTION_ORDER):
+                row[i] += _exact_sum(columns[section])
         for title in sorted(ledger.target_other):
             row = bucket(field_of(field_map, title))
             row[6] += ledger.target_other[title]
@@ -280,23 +330,32 @@ class AnchoredTable:
     notes: tuple[str, ...]
 
 
+def _anchored(doi: CitedDoi, anchor: CanonicalSection) -> bool:
+    """True when the DOI has weight >= 1 in the anchor section."""
+    weight = doi.vector.get(anchor)
+    return weight is not None and weight.numerator >= weight.denominator
+
+
 def anchored_subset_geomeans(
-    ledger: Ledger, field_map: FieldMap
+    ledger: Ledger, field_map: FieldMap, cited: CitedDois | None = None
 ) -> dict[CanonicalSection, AnchoredTable]:
     """Per-field geometric means over DOIs with >= 1 citation in the anchor,
     one table for each of the six sections as anchor.
 
     Zero-truncated: only DOIs present in the ledger participate. Fields with
-    an empty anchored subset are omitted, with a note.
+    an empty anchored subset are omitted, with a note. `cited` is
+    `cited_dois(ledger, field_map)` when the caller already has it.
     """
-    grouped = _cited_by_field(ledger, field_map)
+    if cited is None:
+        cited = cited_dois(ledger, field_map)
+    grouped = cited.by_field
     fields = sorted(field for field in grouped if field is not None)
     tables = {}
     for anchor in SECTION_ORDER:
         rows: dict[str, dict[CanonicalSection, GeoMeanResult]] = {}
         notes: list[str] = []
         for field in fields:
-            subset = [doi for doi in grouped[field] if doi.vector.get(anchor, 0) >= 1]
+            subset = [doi for doi in grouped[field] if _anchored(doi, anchor)]
             if not subset:
                 notes.append(f"{field}: no articles cited in {anchor.value}; row omitted")
                 continue
@@ -330,15 +389,18 @@ class CorrelationReport:
     notes: tuple[str, ...]
 
 
-def _correlation_matrix(sample: Sequence[_CitedDoi]) -> tuple[tuple[float | None, ...], ...]:
-    columns = [[doi.counts[i] for doi in sample] for i in range(len(SECTION_ORDER))]
-    columns.append([float(sum(doi.vector.values(), Fraction(0))) for doi in sample])
-    size = len(columns)
+def _correlation_matrix(
+    columns: Sequence[Sequence[float]],
+) -> tuple[tuple[float | None, ...], ...]:
+    """Pairwise `spearman` of equal-length columns (n >= 2), with 1.0 on the
+    diagonal; each column is ranked once."""
+    ranked = [_centred_ranks(column) for column in columns]
+    size = len(ranked)
     cells: list[list[float | None]] = [[None] * size for _ in range(size)]
     for i in range(size):
         cells[i][i] = 1.0
         for j in range(i + 1, size):
-            value = spearman(columns[i], columns[j])
+            value = _rank_correlation(ranked[i], ranked[j])
             cells[i][j] = value
             cells[j][i] = value
     return tuple(tuple(row) for row in cells)
@@ -368,28 +430,33 @@ def aggregate_correlations(
 
 
 def correlation_tables(
-    ledger: Ledger, field_map: FieldMap, year: int
+    ledger: Ledger, field_map: FieldMap, year: int, cited: CitedDois | None = None
 ) -> CorrelationReport:
     """Per-field 7x7 Spearman matrices for DOIs resolved to one cited year,
     with a per-cell median matrix and positive-correlation share matrix
-    across fields."""
+    across fields. `cited` is `cited_dois(ledger, field_map)` when the caller
+    already has it."""
     if year < 1900:
         raise ValueError(f"year {year} out of range")
     per_field: list[CorrelationMatrix] = []
     notes: list[str] = []
-    grouped = _cited_by_field(ledger, field_map)
+    if cited is None:
+        cited = cited_dois(ledger, field_map)
+    grouped = cited.by_field
     fields = sorted(field for field in grouped if field is not None)
     for field in fields:
         sample = [doi for doi in grouped[field] if doi.year == year]
         if len(sample) < 2:
             notes.append(f"{field}: n={len(sample)} < 2 for {year}; excluded")
             continue
+        columns = [[doi.counts[i] for doi in sample] for i in range(len(SECTION_ORDER))]
+        columns.append([float(doi.total) for doi in sample])
         per_field.append(
             CorrelationMatrix(
                 field=field,
                 year=year,
                 n=len(sample),
-                values=_correlation_matrix(sample),
+                values=_correlation_matrix(columns),
             )
         )
 
@@ -417,29 +484,35 @@ class TopShareEntry:
 
 
 def top_share_articles(
-    ledger: Ledger, min_total: Fraction | int = 100, k: int = 2
+    ledger: Ledger,
+    min_total: Fraction | int = 100,
+    k: int = 2,
+    cited: CitedDois | None = None,
 ) -> list[TopShareEntry]:
     """For each section, the k qualifying DOIs with the highest section share.
 
     Qualification is total >= min_total over the six sections combined. Ties
     break to the larger total, then the lexicographically smaller DOI. The
-    result is ordered by section, then descending share.
+    result is ordered by section, then descending share. `cited` is
+    `cited_dois(ledger, field_map)` for any field map, when the caller
+    already has it.
     """
     min_total = Fraction(min_total)
     if min_total <= 0:
         raise ValueError("min_total must be positive")
     if k < 1:
         raise ValueError("k must be at least 1")
-    qualifying = [(doi, ledger.total(doi)) for doi in ledger.dois()]
-    qualifying = [(doi, total) for doi, total in qualifying if total >= min_total]
+    if cited is None:
+        cited = cited_dois(ledger, FieldMap(by_title={}, by_issn={}))
+    qualifying = [doi for doi in cited.dois if doi.total >= min_total]
     entries: list[TopShareEntry] = []
     for section in SECTION_ORDER:
         scored = [
-            (ledger.counts(doi, section) / total, total, doi)
-            for doi, total in qualifying
+            (doi.vector.get(section, 0) / doi.total, doi.total, doi.doi)
+            for doi in qualifying
         ]
-        scored.sort(key=lambda item: (-item[0], -item[1], item[2]))
-        for share, total, doi in scored[:k]:
+        best = heapq.nsmallest(k, scored, key=lambda item: (-item[0], -item[1], item[2]))
+        for share, total, doi in best:
             entries.append(
                 TopShareEntry(cited_doi=doi, section=section, share=float(share), total=total)
             )

@@ -9,16 +9,21 @@ oracle for the whole ingest pipeline.
 
 from __future__ import annotations
 
+import functools
+import html
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape
 
 from .ledger import Ledger
 from .sections import CanonicalSection
+
+# Escapes &, < and >, as xml.sax.saxutils.escape does, whose import would pull
+# urllib.request and http.client into every command.
+escape = functools.partial(html.escape, quote=False)
 
 DEFAULT_STRUCTURE_MIX: dict[str, float] = {
     "ILM[RD]C": 0.21,

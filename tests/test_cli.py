@@ -11,8 +11,18 @@ from pathlib import Path
 import pytest
 
 import seccite
-from seccite import cli, read_ledger
+from seccite import (
+    anchored_subset_geomeans,
+    cli,
+    correlation_tables,
+    load_classification,
+    read_ledger,
+    share_by_field,
+    top_share_articles,
+    write_ledger,
+)
 from seccite.cli import main
+from seccite.metrics import CitedDois
 
 from conftest import make_article
 
@@ -289,6 +299,40 @@ class TestStatsCommand:
         assert len(config["ledger_sha256"]) == 5
 
 
+    def test_shared_view_gives_each_table_called_alone(
+        self, synth_corpus, classification_file, tmp_path, monkeypatch
+    ):
+        _, truth = synth_corpus
+        write_ledger(truth.ledger, tmp_path / "ledger")
+        tables = {}
+        for name in ("share_by_field", "anchored_subset_geomeans", "correlation_tables",
+                     "top_share_articles"):
+            def record(*args, _name=name, _table=getattr(cli, name), **kwargs):
+                shared = any(isinstance(a, CitedDois) for a in (*args, *kwargs.values()))
+                result = _table(*args, **kwargs)
+                tables.setdefault(_name, []).append((shared, result))
+                return result
+
+            monkeypatch.setattr(cli, name, record)
+        assert run("stats", "--ledger-dir", str(tmp_path / "ledger"),
+                   "--classification", str(classification_file),
+                   "--output-dir", str(tmp_path / "out"), "--year", "2012",
+                   "--min-total", "3") == 0
+
+        ledger = read_ledger(tmp_path / "ledger")
+        field_map = load_classification(classification_file)
+        correlations = correlation_tables(ledger, field_map, 2012)
+        top = top_share_articles(ledger, min_total=3, k=2)
+        assert correlations.per_field and top
+        assert tables == {
+            "share_by_field": [(False, share_by_field(ledger, field_map, "source-field")),
+                               (True, share_by_field(ledger, field_map, "target-field"))],
+            "anchored_subset_geomeans": [(True, anchored_subset_geomeans(ledger, field_map))],
+            "correlation_tables": [(True, correlations)],
+            "top_share_articles": [(True, top)],
+        }
+
+
 class TestReportCommand:
     def test_renders_bundle(self, ingested, classification_file, tmp_path, capsys):
         out = tmp_path / "rep"
@@ -383,7 +427,8 @@ def test_version_flag(capsys):
 def test_import_leaves_out_scipy_and_numpy():
     src = str(Path(seccite.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, seccite.cli; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
+    absent = {"scipy", "numpy", "urllib.request", "http.client"}
+    code = f"import sys, seccite.cli; print(sorted({absent!r} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"

@@ -370,6 +370,22 @@ class TestRangeExpansion:
         assert citation.ref_ids == ("r1",)
         assert any("r9" in issue for issue in article.issues)
 
+    @pytest.mark.parametrize(
+        "cited, expected",
+        [
+            (("r1", "-", "r3", ",", "r9"), ("r1", "r2", "r3")),
+            (("r9", ",", "r1", "-", "r3"), ("r1", "r2", "r3")),
+            (("r1", ",", "r8", ",", "r9", ",", "r3", "–", "r5"), ("r1", "r3", "r4", "r5")),
+        ],
+    )
+    def test_dropped_rid_keeps_range_elsewhere(self, cited, expected):
+        tokens = [xref(t) if t.startswith("r") else t for t in cited]
+        body = f"<sec><title>Introduction</title><p>Mixed {' '.join(tokens)}.</p></sec>"
+        article = parse_article(make_article(body=body, refs=ref_entries(5)), "keep.xml")
+        (citation,) = article.citations
+        assert citation.ref_ids == expected
+        assert any("r9" in issue for issue in article.issues)
+
 
 _FUZZ_BASE = make_article(
     body=(

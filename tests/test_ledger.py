@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import random
+import re
 import tempfile
 from collections import Counter
 from fractions import Fraction
@@ -290,6 +291,22 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             write_ledger(ledger, tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cell", ["1.5", "x/2", "1/0", "1/-3", "2", ""])
+    @pytest.mark.parametrize("part, column", [("", 1), (".sources", -1), (".targets", 1)])
+    def test_read_names_file_and_line_of_bad_weight(self, tmp_path, part, column, cell):
+        ledger = random_ledger(random.Random(5), dois=4, journals=2)
+        ledger.target_other = {"A": Fraction(1), "B": Fraction(2, 3)}
+        write_ledger(ledger, tmp_path)
+        path = tmp_path / f"ledger{part}.tsv"
+        lines = path.read_text("utf-8").split("\n")
+        cells = lines[2].split("\t")
+        cells[column] = cell
+        lines[2] = "\t".join(cells)
+        path.write_text("\n".join(lines), "utf-8")
+        message = re.escape(f"ledger{part}.tsv, line 3: weight {cell!r}")
+        with pytest.raises(ValueError, match=message):
+            read_ledger(tmp_path)
 
 
 # Text as the parser emits it: XML characters, whitespace runs collapsed to

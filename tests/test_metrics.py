@@ -6,10 +6,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seccite import Ledger, load_classification
 from seccite.metrics import (
     CORRELATION_AXES,
+    _correlation_matrix,
     _t_quantile,
     aggregate_correlations,
     anchored_subset_geomeans,
@@ -420,6 +422,27 @@ class TestCorrelationTables:
     def test_year_validation(self, small_field_map):
         with pytest.raises(ValueError):
             correlation_tables(Ledger(), small_field_map, 1500)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda n: st.lists(
+                st.one_of(
+                    st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=n, max_size=n),
+                    st.lists(st.floats(0, 50), min_size=n, max_size=n),
+                    st.floats(0, 50).map(lambda v: [v] * n),
+                ),
+                min_size=7,
+                max_size=7,
+            )
+        )
+    )
+    def test_matrix_cells_equal_pairwise_spearman(self, columns):
+        values = _correlation_matrix(columns)
+        for i in range(7):
+            for j in range(7):
+                expected = 1.0 if i == j else spearman(columns[i], columns[j])
+                assert values[i][j] == expected
 
     def test_matches_brute_force_oracle(self, small_field_map):
         rng = random.Random(77)
