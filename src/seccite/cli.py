@@ -366,14 +366,9 @@ def _write_anchored_tsv(path: Path, table) -> None:
     _write_tsv(path, header, rows)
 
 
-def _write_matrix_tsv(path: Path, matrix, extra: list[tuple[str, str]] | None = None) -> None:
+def _write_matrix_tsv(path: Path, matrix) -> None:
     header = ["axis", *CORRELATION_AXES]
-    rows = []
-    for axis, row in zip(CORRELATION_AXES, matrix):
-        rows.append([axis, *(_fmt(v) for v in row)])
-    if extra:
-        for key, value in extra:
-            rows.append([key, value] + [""] * (len(CORRELATION_AXES) - 1))
+    rows = [[axis, *(_fmt(v) for v in row)] for axis, row in zip(CORRELATION_AXES, matrix)]
     _write_tsv(path, header, rows)
 
 

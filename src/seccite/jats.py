@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Any, Container, Iterable, Mapping, Sequence
+from typing import Any, Container, Mapping, Sequence
 from xml.parsers import expat
 
 
@@ -95,20 +94,6 @@ class InTextCitation:
 
     outer_section_node_id: str | None
     ref_ids: tuple[str, ...]
-    char_offset: int | None = None
-
-
-@dataclass(frozen=True)
-class RawMarker:
-    """A marker before expansion: alternating ref-id / separator tokens.
-
-    outer_node_id is the depth-1 section enclosing the marker, None outside
-    any body section.
-    """
-
-    tokens: tuple[str, ...]
-    outer_node_id: str | None
-    char_offset: int
 
 
 @dataclass(frozen=True)
@@ -173,92 +158,70 @@ def expand_citation_list(
     Raises ExpansionError for reversed ranges, unknown ref-ids, or a
     malformed token sequence.
     """
-    return _expand(tokens, all_refs, {ref_id: i for i, ref_id in enumerate(all_refs)})
-
-
-def _expand(
-    tokens: Sequence[str], all_refs: Sequence[str], order: Mapping[str, int]
-) -> tuple[str, ...]:
-    """expand_citation_list with `order` mapping each ref-id to its position."""
     if not tokens:
         raise ExpansionError("empty citation marker")
-    refs = list(tokens[0::2])
-    seps = list(tokens[1::2])
+    refs = tokens[0::2]
+    seps = tokens[1::2]
     if len(refs) != len(seps) + 1 or any(r in _SEPARATORS for r in refs) or any(
         s not in _SEPARATORS for s in seps
     ):
         raise ExpansionError(f"malformed marker tokens {tuple(tokens)!r}")
+    order = {ref_id: i for i, ref_id in enumerate(all_refs)}
     for ref_id in refs:
         if ref_id not in order:
             raise ExpansionError(f"unknown reference id {ref_id!r}")
-    out: dict[str, None] = {refs[0]: None}
-    for sep, start, end in zip(seps, refs, refs[1:]):
+    return _expand(list(zip((None, *seps), refs)), all_refs, order)
+
+
+# A marker as the parse pass reads it: (separator before it, ref-id) per
+# ref-id, the first separator being None or unread.
+_Pairs = Sequence[tuple[str | None, str]]
+
+
+def _expand(pairs: _Pairs, all_refs: Sequence[str], order: Mapping[str, int]) -> tuple[str, ...]:
+    """The ref-ids a marker of known ids cites; `order` maps each ref-id to
+    its position in `all_refs`. The first pair's separator is not read."""
+    (_, previous), *rest = pairs
+    out = {previous: None}
+    for sep, ref_id in rest:
         if sep in RANGE_SEPARATORS:
-            lo, hi = order[start], order[end]
+            lo, hi = order[previous], order[ref_id]
             if hi < lo:
-                raise ExpansionError(f"reversed range {start!r}-{end!r}")
-            for ref_id in all_refs[lo : hi + 1]:
-                out[ref_id] = None
+                raise ExpansionError(f"reversed range {previous!r}-{ref_id!r}")
+            out.update(dict.fromkeys(all_refs[lo : hi + 1]))
         else:
-            out[end] = None
+            out[ref_id] = None
+        previous = ref_id
     return tuple(out)
 
 
-def locate_in_text_citations(
-    markers: Iterable[RawMarker],
-    ref_order: Sequence[str],
-) -> tuple[list[InTextCitation], list[str]]:
-    """Resolve raw markers to InTextCitations attributed to outer sections.
+def _resolve(
+    pairs: _Pairs, all_refs: Sequence[str], order: Mapping[str, int], issues: list[str]
+) -> tuple[str, ...]:
+    """The ref-ids a parsed marker cites, () when it is skipped or left empty.
 
-    Range failures skip the whole marker (recorded); an unknown ref-id away
-    from any range token is dropped individually.
+    An unknown ref-id next to a dash skips the marker; other unknown ref-ids
+    are dropped, and each kept ref-id keeps the separator in front of it.
+    Each skip and drop is recorded in `issues`.
     """
-    order = {ref_id: i for i, ref_id in enumerate(ref_order)}
-    citations: list[InTextCitation] = []
-    issues: list[str] = []
-    for marker in markers:
-        tokens, issue = _drop_unknown_refs(marker.tokens, order)
-        if issue:
-            issues.append(issue)
-            if tokens is None:
-                continue
-        if not tokens:
-            continue
-        try:
-            ref_ids = _expand(tokens, ref_order, order)
-        except ExpansionError as exc:
-            issues.append(f"citation skipped: {exc}")
-            continue
-        citations.append(InTextCitation(marker.outer_node_id, ref_ids, marker.char_offset))
-    return citations, issues
-
-
-def _drop_unknown_refs(
-    tokens: tuple[str, ...], known: Container[str]
-) -> tuple[tuple[str, ...] | None, str | None]:
-    """Strip unknown non-range ref-ids; None tokens means skip the marker.
-
-    Each kept ref-id keeps the separator in front of it, so ranges elsewhere
-    in the marker survive. Only list separators flank a dropped ref-id.
-    """
-    refs = list(tokens[0::2])
-    seps = list(tokens[1::2])
-    unknown = [i for i, r in enumerate(refs) if r not in known]
-    if not unknown:
-        return tokens, None
+    unknown = [i for i, (_, ref_id) in enumerate(pairs) if ref_id not in order]
     for i in unknown:
-        before = seps[i - 1] if i > 0 else None
-        after = seps[i] if i < len(seps) else None
-        if before in RANGE_SEPARATORS or after in RANGE_SEPARATORS:
-            return None, f"citation skipped: unknown range endpoint {refs[i]!r}"
-    dropped = [refs[i] for i in unknown]
-    rebuilt: list[str] = []
-    for i, ref_id in enumerate(refs):
-        if ref_id in known:
-            if rebuilt:
-                rebuilt.append(seps[i - 1])
-            rebuilt.append(ref_id)
-    return tuple(rebuilt), f"unknown reference id(s) dropped: {', '.join(dropped)}"
+        after = pairs[i + 1][0] if i + 1 < len(pairs) else None
+        if pairs[i][0] in RANGE_SEPARATORS or after in RANGE_SEPARATORS:
+            issues.append(f"citation skipped: unknown range endpoint {pairs[i][1]!r}")
+            return ()
+    if unknown:
+        issues.append(
+            f"unknown reference id(s) dropped: {', '.join(pairs[i][1] for i in unknown)}"
+        )
+        pairs = [pair for pair in pairs if pair[1] in order]
+        if not pairs:
+            return ()
+    try:
+        return _expand(pairs, all_refs, order)
+    except ExpansionError as exc:
+        issues.append(f"citation skipped: {exc}")
+        return ()
 
 
 _WS = re.compile(r"\s+")
@@ -509,28 +472,28 @@ class _ArticlePass:
         }
         return SectionTree(nodes, tuple(self.roots))
 
-    def markers(self, ref_ids: set[str]) -> list[RawMarker]:
-        """Runs of citation xrefs with no block boundary and only a separator between."""
+    def markers(self, known: Container[str]) -> list[tuple[str | None, _Pairs]]:
+        """(outer section, pairs) per run of citation xrefs with no block
+        boundary and only a separator between."""
         texts = self.texts
-        offsets = list(accumulate(map(len, texts), initial=0)) if self.xrefs else []
-        markers: list[tuple[list[str], str | None, int]] = []
-        tokens: list[str] = []
+        markers: list[tuple[str | None, _Pairs]] = []
+        pairs: list[tuple[str | None, str]] = []
         last_end, last_blocks = 0, -1
         for rids, typed, outer, start, end, blocks, blocks_after in self.xrefs:
-            if not typed and not all(rid in ref_ids for rid in rids):
+            if not typed and not all(rid in known for rid in rids):
                 last_blocks = -1  # an xref to something else is a block boundary
                 continue
             sep = None
             if blocks == last_blocks:
                 sep = _JOINERS.get(_WS.sub("", "".join(texts[last_end:start])))
             if sep is None:
-                tokens = []
-                markers.append((tokens, outer, offsets[start]))
+                pairs = []
+                markers.append((outer, pairs))
             for rid in rids:
-                tokens += (sep, rid) if sep else (rid,)
+                pairs.append((sep, rid))
                 sep = LIST_SEPARATOR
             last_end, last_blocks = end, blocks_after
-        return [RawMarker(tuple(t), outer, offset) for t, outer, offset in markers]
+        return markers
 
 
 def parse_article(data: bytes, source: str = "<bytes>") -> ParsedArticle:
@@ -577,8 +540,12 @@ def parse_article(data: bytes, source: str = "<bytes>") -> ParsedArticle:
     )
     references = state.references(issues)
     ref_order = [ref.ref_id for ref in references]
-    citations, cite_issues = locate_in_text_citations(state.markers(set(ref_order)), ref_order)
-    issues.extend(cite_issues)
+    order = {ref_id: i for i, ref_id in enumerate(ref_order)}
+    citations = []
+    for outer, pairs in state.markers(order):
+        ref_ids = _resolve(pairs, ref_order, order, issues)
+        if ref_ids:
+            citations.append(InTextCitation(outer, ref_ids))
     return ParsedArticle(
         record, state.section_tree(), tuple(references), tuple(citations), tuple(issues)
     )

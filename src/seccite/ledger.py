@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -32,6 +33,19 @@ def outer_section_labels(
         node = article.sections.nodes[node_id]
         labels[node_id] = normalize_section(node.sec_type, node.title_raw, table)
     return labels
+
+
+def exact_sum(weights: Iterable[Fraction]) -> Fraction:
+    """Exact sum that adds integer numerators per denominator and builds one
+    Fraction at the end, instead of normalizing after every addition."""
+    by_denominator: dict[int, int] = {}
+    for weight in weights:
+        denominator = weight.denominator
+        by_denominator[denominator] = by_denominator.get(denominator, 0) + weight.numerator
+    common = lcm(*by_denominator)
+    return Fraction(
+        sum(numerator * (common // d) for d, numerator in by_denominator.items()), common
+    )
 
 
 @dataclass(frozen=True)
@@ -128,7 +142,7 @@ class Ledger:
         return sorted(self.vectors)
 
     def total(self, doi: str) -> Fraction:
-        return sum(self.vectors[doi].values(), Fraction(0))
+        return exact_sum(self.vectors[doi].values())
 
     def counts(self, doi: str, section: CanonicalSection) -> Fraction:
         return self.vectors[doi].get(section, Fraction(0))
@@ -261,14 +275,14 @@ def _check_cells(ledger: Ledger) -> None:
             raise ValueError(f"cannot write {text!r} to a ledger: it holds a tab or newline")
 
 
-def ledger_files(directory: str | Path, stem: str = "ledger") -> list[Path]:
+def ledger_files(directory: str | Path) -> list[Path]:
     """The main TSV and its four sidecars (cohort, meta, sources, targets)."""
     directory = Path(directory)
-    return [directory / f"{stem}{part}.tsv"
+    return [directory / f"ledger{part}.tsv"
             for part in ("", ".cohort", ".meta", ".sources", ".targets")]
 
 
-def write_ledger(ledger: Ledger, directory: str | Path, stem: str = "ledger") -> list[Path]:
+def write_ledger(ledger: Ledger, directory: str | Path) -> list[Path]:
     """Write the ledger and its sidecars as TSV files; returns written paths.
 
     Raises ValueError, before writing anything, for text that would not read
@@ -277,7 +291,7 @@ def write_ledger(ledger: Ledger, directory: str | Path, stem: str = "ledger") ->
     """
     _check_cells(ledger)
     Path(directory).mkdir(parents=True, exist_ok=True)
-    paths = ledger_files(directory, stem)
+    paths = ledger_files(directory)
     main, cohort, meta, sources, targets = paths
 
     with main.open("w", encoding="utf-8", newline="\n") as handle:
@@ -354,13 +368,13 @@ def _section_weights(cells: list[str], path: Path, line: int) -> dict[CanonicalS
     return weights
 
 
-def read_ledger(directory: str | Path, stem: str = "ledger") -> Ledger:
+def read_ledger(directory: str | Path) -> Ledger:
     """Load a ledger written by write_ledger; exact inverse.
 
     Raises ValueError naming the file and line for a weight cell that is not
     "n/d" with integers n and d > 0.
     """
-    main, cohort, meta, sources, targets = ledger_files(directory, stem)
+    main, cohort, meta, sources, targets = ledger_files(directory)
     ledger = Ledger()
 
     if not main.exists():
@@ -369,20 +383,24 @@ def read_ledger(directory: str | Path, stem: str = "ledger") -> Ledger:
         ledger.vectors[row[0]] = _section_weights(row[1:], main, line)
         ledger.cohort_index.setdefault(row[0], set())
 
+    # setdefault would build a throwaway default per row; build one only for a new DOI.
     for _, row in _read_rows(cohort):
         doi, journal, year = row
-        ledger.cohort_index.setdefault(doi, set()).add(
-            (journal, int(year) if year else None)
-        )
+        if doi not in ledger.cohort_index:
+            ledger.cohort_index[doi] = set()
+        ledger.cohort_index[doi].add((journal, int(year) if year else None))
 
     for _, row in _read_rows(meta):
         doi, kind, value, count = row
         if kind == "journal":
-            ledger.cited_journals.setdefault(doi, Counter())[value] += int(count)
+            counters, key = ledger.cited_journals, value
         elif kind == "year":
-            ledger.cited_years.setdefault(doi, Counter())[int(value)] += int(count)
+            counters, key = ledger.cited_years, int(value)
         else:
             raise ValueError(f"unknown meta kind {kind!r} in {meta.name}")
+        if doi not in counters:
+            counters[doi] = Counter()
+        counters[doi][key] += int(count)
 
     for line, row in _read_rows(sources):
         journal, issns = row[0], row[1]

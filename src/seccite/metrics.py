@@ -14,12 +14,12 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import atan, exp, expm1, fsum, lcm, lgamma, log, log1p, pi, sqrt
+from math import atan, exp, expm1, fsum, lgamma, log, log1p, pi, sqrt
 from statistics import NormalDist, median
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .fields import FieldMap, field_of
-from .ledger import OTHER_COLUMN, Ledger, modal_cited_journal, resolve_cited_year
+from .ledger import OTHER_COLUMN, Ledger, exact_sum, modal_cited_journal, resolve_cited_year
 from .sections import SECTION_ORDER, CanonicalSection
 
 ALL_COLUMN = "all"
@@ -176,19 +176,6 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-def _exact_sum(weights: Iterable[Fraction]) -> Fraction:
-    """Exact sum that adds integer numerators per denominator and builds one
-    Fraction at the end, instead of normalizing after every addition."""
-    by_denominator: dict[int, int] = {}
-    for weight in weights:
-        denominator = weight.denominator
-        by_denominator[denominator] = by_denominator.get(denominator, 0) + weight.numerator
-    common = lcm(*by_denominator)
-    return Fraction(
-        sum(numerator * (common // d) for d, numerator in by_denominator.items()), common
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class CitedDoi:
     """One ledger DOI as the per-DOI tables read it."""
@@ -222,9 +209,7 @@ def cited_dois(ledger: Ledger, field_map: FieldMap) -> CitedDois:
             w.numerator / w.denominator if (w := vector.get(s)) is not None else 0.0
             for s in SECTION_ORDER
         )
-        entry = CitedDoi(
-            doi, vector, counts, _exact_sum(vector.values()), resolve_cited_year(ledger, doi)
-        )
+        entry = CitedDoi(doi, vector, counts, ledger.total(doi), resolve_cited_year(ledger, doi))
         title = modal_cited_journal(ledger, doi)
         if title not in fields:
             fields[title] = field_of(field_map, title)
@@ -305,7 +290,7 @@ def share_by_field(
                     columns[section].append(weight)
             row = bucket(field)
             for i, section in enumerate(SECTION_ORDER):
-                row[i] += _exact_sum(columns[section])
+                row[i] += exact_sum(columns[section])
         for title in sorted(ledger.target_other):
             row = bucket(field_of(field_map, title))
             row[6] += ledger.target_other[title]

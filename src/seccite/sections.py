@@ -25,6 +25,9 @@ class CanonicalSection(Enum):
     DISCUSSION = "Discussion"
     CONCLUSION = "Conclusion"
 
+    # Members are singletons compared by identity, and Enum.__hash__ runs in Python.
+    __hash__ = object.__hash__
+
     @property
     def column(self) -> str:
         """Short machine-readable column name used in all TSV outputs."""

@@ -308,15 +308,13 @@ class TestMarkerLocation:
         assert len(article.citations) == 2
         assert {c.ref_ids for c in article.citations} == {("r1",), ("r2",)}
 
-    def test_char_offsets_increase_in_document_order(self):
+    def test_citations_in_document_order(self):
         body = (
             "<sec><title>Introduction</title>"
             f"<p>First {xref('r1')} then more text {xref('r2')}.</p></sec>"
         )
-        article = parse_article(make_article(body=body), "off.xml")
-        offsets = [c.char_offset for c in article.citations]
-        assert offsets == sorted(offsets)
-        assert all(isinstance(o, int) and o >= 0 for o in offsets)
+        article = parse_article(make_article(body=body), "order.xml")
+        assert [c.ref_ids for c in article.citations] == [("r1",), ("r2",)]
 
 
 class TestRangeExpansion:
@@ -385,6 +383,56 @@ class TestRangeExpansion:
         (citation,) = article.citations
         assert citation.ref_ids == expected
         assert any("r9" in issue for issue in article.issues)
+
+    def test_dropped_rid_then_reversed_range_issues_in_order(self):
+        body = (
+            "<sec><title>Introduction</title>"
+            f"<p>Bad {xref('r9')}, {xref('r5')}-{xref('r2')}.</p></sec>"
+        )
+        article = parse_article(make_article(body=body, refs=ref_entries(6)), "order.xml")
+        assert article.citations == ()
+        assert article.issues == (
+            "unknown reference id(s) dropped: r9",
+            "citation skipped: reversed range 'r5'-'r2'",
+        )
+
+    def test_reference_id_that_is_a_separator_is_cited(self):
+        refs = (
+            '<ref id="-"><element-citation publication-type="journal">'
+            "<source>Dash Journal</source><year>2015</year></element-citation></ref>"
+        )
+        body = f"<sec><title>Introduction</title><p>See {xref('-', '1')}.</p></sec>"
+        article = parse_article(make_article(body=body, refs=refs), "dash.xml")
+        assert [c.ref_ids for c in article.citations] == [("-",)]
+        assert article.issues == ()
+
+
+_KNOWN = [f"r{i}" for i in range(1, 11)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_KNOWN),
+    st.lists(st.tuples(st.sampled_from((",", "-", "–")), st.sampled_from(_KNOWN)), max_size=6),
+    st.sampled_from(("", " ")),
+)
+def test_marker_body_parses_like_expand_citation_list(first, rest, space):
+    """A marker written from known ids and separators cites exactly what
+    expand_citation_list gives for its tokens; a reversed range skips it."""
+    tokens = (first, *(token for pair in rest for token in pair))
+    body = "".join(space + (t if t in (",", "-", "–") else xref(t)) for t in tokens)
+    data = make_article(body=f"<sec><title>Introduction</title><p>See{body}.</p></sec>",
+                        refs=ref_entries(10))
+    article = parse_article(data, "prop.xml")
+    try:
+        expected = expand_citation_list(tokens, _KNOWN)
+    except ExpansionError:
+        assert article.citations == ()
+        assert len(article.issues) == 1
+        assert article.issues[0].startswith("citation skipped: reversed range")
+    else:
+        assert [c.ref_ids for c in article.citations] == [expected]
+        assert article.issues == ()
 
 
 _FUZZ_BASE = make_article(
