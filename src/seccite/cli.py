@@ -278,7 +278,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """Hex sha256 of a file, read in blocks rather than held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _fmt(value: float | None) -> str:

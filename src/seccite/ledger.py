@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .jats import ParsedArticle, ReferenceEntry
 from .sections import SECTION_ORDER, CanonicalSection, SectionLabel, normalize_section
@@ -189,27 +189,41 @@ class Ledger:
             issns.update(article.record.issn_list)
 
     def update(self, other: "Ledger") -> None:
-        """In-place pointwise addition / evidence union."""
-        for doi, counts in other.vectors.items():
-            vector = self.vectors.setdefault(doi, {})
-            for section, weight in counts.items():
-                vector[section] = vector.get(section, Fraction(0)) + weight
-        for doi, cohort in other.cohort_index.items():
-            self.cohort_index.setdefault(doi, set()).update(cohort)
-        for doi, journals in other.cited_journals.items():
-            self.cited_journals.setdefault(doi, Counter()).update(journals)
-        for doi, years in other.cited_years.items():
-            self.cited_years.setdefault(doi, Counter()).update(years)
-        for journal, counts in other.source_sections.items():
-            per_journal = self.source_sections.setdefault(journal, {})
-            for section, weight in counts.items():
-                per_journal[section] = per_journal.get(section, Fraction(0)) + weight
-        for journal, weight in other.source_other.items():
-            self.source_other[journal] = self.source_other.get(journal, Fraction(0)) + weight
-        for journal, issns in other.source_issns.items():
-            self.source_issns.setdefault(journal, set()).update(issns)
-        for title, weight in other.target_other.items():
-            self.target_other[title] = self.target_other.get(title, Fraction(0)) + weight
+        """In-place pointwise addition / evidence union.
+
+        A key new to this ledger gets a copy of other's container, never the
+        container itself, so later updates of either ledger stay apart.
+        """
+        for mine, theirs in (
+            (self.vectors, other.vectors),
+            (self.source_sections, other.source_sections),
+        ):
+            for key, weights in theirs.items():
+                if key in mine:
+                    _add_weights(mine[key], weights)
+                else:
+                    mine[key] = dict(weights)
+        for mine, theirs in (
+            (self.cohort_index, other.cohort_index),
+            (self.cited_journals, other.cited_journals),
+            (self.cited_years, other.cited_years),
+            (self.source_issns, other.source_issns),
+        ):
+            # set.update takes the union, Counter.update adds the counts.
+            for key, values in theirs.items():
+                if key in mine:
+                    mine[key].update(values)
+                else:
+                    mine[key] = values.copy()
+        _add_weights(self.source_other, other.source_other)
+        _add_weights(self.target_other, other.target_other)
+
+
+def _add_weights(into: dict, weights: Mapping) -> None:
+    """Add each weight into `into`; a new key takes the weight itself."""
+    for key, weight in weights.items():
+        old = into.get(key)
+        into[key] = weight if old is None else old + weight
 
 
 def merge(left: Ledger, right: Ledger) -> Ledger:
@@ -241,6 +255,13 @@ def modal_cited_journal(ledger: Ledger, doi: str) -> str:
 # ---------------------------------------------------------------------------
 
 LEDGER_COLUMNS = [s.column for s in SECTION_ORDER]
+
+# The header row of each file; read_ledger accepts no other.
+_MAIN_HEADER = ["doi", *LEDGER_COLUMNS, "total"]
+_COHORT_HEADER = ["doi", "citing_journal", "citing_year"]
+_META_HEADER = ["doi", "kind", "value", "count"]
+_SOURCES_HEADER = ["journal", "issns", *LEDGER_COLUMNS, OTHER_COLUMN]
+_TARGETS_HEADER = ["cited_journal", OTHER_COLUMN]
 
 
 def _format_fraction(value: Fraction) -> str:
@@ -295,7 +316,7 @@ def write_ledger(ledger: Ledger, directory: str | Path) -> list[Path]:
     main, cohort, meta, sources, targets = paths
 
     with main.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write("doi\t" + "\t".join(LEDGER_COLUMNS) + "\ttotal\n")
+        handle.write("\t".join(_MAIN_HEADER) + "\n")
         for doi in sorted(ledger.vectors):
             counts = ledger.vectors[doi]
             cells = [_format_fraction(counts.get(s, Fraction(0))) for s in SECTION_ORDER]
@@ -303,7 +324,7 @@ def write_ledger(ledger: Ledger, directory: str | Path) -> list[Path]:
             handle.write(doi + "\t" + "\t".join(cells) + "\n")
 
     with cohort.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write("doi\tciting_journal\tciting_year\n")
+        handle.write("\t".join(_COHORT_HEADER) + "\n")
         for doi in sorted(ledger.cohort_index):
             rows = sorted(
                 ledger.cohort_index[doi],
@@ -313,7 +334,7 @@ def write_ledger(ledger: Ledger, directory: str | Path) -> list[Path]:
                 handle.write(f"{doi}\t{journal}\t{_format_year(year)}\n")
 
     with meta.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write("doi\tkind\tvalue\tcount\n")
+        handle.write("\t".join(_META_HEADER) + "\n")
         for doi in sorted(set(ledger.cited_journals) | set(ledger.cited_years)):
             for title, count in sorted(ledger.cited_journals.get(doi, {}).items()):
                 handle.write(f"{doi}\tjournal\t{title}\t{count}\n")
@@ -321,7 +342,7 @@ def write_ledger(ledger: Ledger, directory: str | Path) -> list[Path]:
                 handle.write(f"{doi}\tyear\t{year}\t{count}\n")
 
     with sources.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write("journal\tissns\t" + "\t".join(LEDGER_COLUMNS) + f"\t{OTHER_COLUMN}\n")
+        handle.write("\t".join(_SOURCES_HEADER) + "\n")
         for journal in sorted(set(ledger.source_sections) | set(ledger.source_other)):
             counts = ledger.source_sections.get(journal, {})
             issns = ";".join(sorted(ledger.source_issns.get(journal, set())))
@@ -330,19 +351,29 @@ def write_ledger(ledger: Ledger, directory: str | Path) -> list[Path]:
             handle.write(journal + "\t" + issns + "\t" + "\t".join(cells) + "\n")
 
     with targets.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"cited_journal\t{OTHER_COLUMN}\n")
+        handle.write("\t".join(_TARGETS_HEADER) + "\n")
         for title in sorted(ledger.target_other):
             handle.write(f"{title}\t{_format_fraction(ledger.target_other[title])}\n")
     return paths
 
 
-def _read_rows(path: Path) -> Iterable[tuple[int, list[str]]]:
-    """(line number, cells) for each row after the header."""
+def _read_rows(path: Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) for each row after the header, read line by line.
+
+    Raises ValueError naming the file and line for a header other than
+    `header` or a row whose cell count differs from the header's.
+    """
     with path.open("r", encoding="utf-8", newline="\n") as handle:
-        header = handle.readline()
-        width = len(header.rstrip("\n").split("\t"))
+        found = handle.readline().rstrip("\n")
+        if found.split("\t") != header:
+            expected = "\t".join(header)
+            raise ValueError(f"{path}, line 1: header {found!r} is not {expected!r}")
+        width = len(header)
         for number, line in enumerate(handle, start=2):
-            yield number, line.rstrip("\n").split("\t", width - 1)
+            cells = line.rstrip("\n").split("\t")
+            if len(cells) != width:
+                raise ValueError(f"{path}, line {number}: {len(cells)} cells, not {width}")
+            yield number, cells
 
 
 def _parse_weight(cell: str, path: Path, line: int) -> Fraction:
@@ -357,67 +388,102 @@ def _parse_weight(cell: str, path: Path, line: int) -> Fraction:
     raise ValueError(f"{path}, line {line}: weight {cell!r} is not n/d with integers n and d > 0")
 
 
-def _section_weights(cells: list[str], path: Path, line: int) -> dict[CanonicalSection, Fraction]:
-    """The nonzero weights among a row's six section cells."""
-    weights = {}
-    for section, cell in zip(SECTION_ORDER, cells):
-        if cell != "0/1":
-            value = _parse_weight(cell, path, line)
+class _Interned:
+    """One object per distinct value met during one read_ledger call.
+
+    A ledger repeats few values many times: the 80,442 weight cells of an
+    8,000-article synthetic ledger hold 1,130 distinct texts. Only immutable
+    values are shared; each key keeps its own dict, set and Counter.
+    """
+
+    def __init__(self) -> None:
+        self.texts: dict[str, str] = {}
+        self.weights: dict[str, Fraction] = {"0/1": Fraction(0)}
+        self.years: dict[str, int] = {}
+        self.pairs: dict[tuple[str, str], tuple[str, int | None]] = {}
+
+    def text(self, text: str) -> str:
+        return self.texts.setdefault(text, text)
+
+    def weight(self, cell: str, path: Path, line: int) -> Fraction:
+        value = self.weights.get(cell)
+        if value is None:
+            value = self.weights[cell] = _parse_weight(cell, path, line)
+        return value
+
+    def year(self, cell: str) -> int:
+        value = self.years.get(cell)
+        if value is None:
+            value = self.years[cell] = int(cell)
+        return value
+
+    def pair(self, journal: str, year: str) -> tuple[str, int | None]:
+        key = (journal, year)
+        value = self.pairs.get(key)
+        if value is None:
+            value = self.pairs[key] = (self.text(journal), self.year(year) if year else None)
+        return value
+
+    def section_weights(
+        self, cells: list[str], path: Path, line: int
+    ) -> dict[CanonicalSection, Fraction]:
+        """The nonzero weights among a row's six section cells, in a new dict."""
+        weights = {}
+        for section, cell in zip(SECTION_ORDER, cells):
+            value = self.weight(cell, path, line)
             if value:
                 weights[section] = value
-    return weights
+        return weights
 
 
 def read_ledger(directory: str | Path) -> Ledger:
     """Load a ledger written by write_ledger; exact inverse.
 
-    Raises ValueError naming the file and line for a weight cell that is not
-    "n/d" with integers n and d > 0.
+    Raises ValueError naming the file and line for a header other than the
+    one write_ledger writes, a row with another number of cells, or a weight
+    cell that is not "n/d" with integers n and d > 0. Equal weights, cohort
+    pairs, journal titles, years and DOIs come back as one shared object.
     """
     main, cohort, meta, sources, targets = ledger_files(directory)
     ledger = Ledger()
+    values = _Interned()
 
     if not main.exists():
         raise FileNotFoundError(f"ledger file not found: {main}")
-    for line, row in _read_rows(main):
-        ledger.vectors[row[0]] = _section_weights(row[1:], main, line)
-        ledger.cohort_index.setdefault(row[0], set())
+    for line, (doi, *cells) in _read_rows(main, _MAIN_HEADER):
+        doi = values.text(doi)
+        ledger.vectors[doi] = values.section_weights(cells, main, line)
+        ledger.cohort_index[doi] = set()
 
-    # setdefault would build a throwaway default per row; build one only for a new DOI.
-    for _, row in _read_rows(cohort):
-        doi, journal, year = row
-        if doi not in ledger.cohort_index:
-            ledger.cohort_index[doi] = set()
-        ledger.cohort_index[doi].add((journal, int(year) if year else None))
+    for _, (doi, journal, year) in _read_rows(cohort, _COHORT_HEADER):
+        doi_cohort = ledger.cohort_index.get(doi)
+        if doi_cohort is None:
+            doi_cohort = ledger.cohort_index[values.text(doi)] = set()
+        doi_cohort.add(values.pair(journal, year))
 
-    for _, row in _read_rows(meta):
-        doi, kind, value, count = row
+    for line, (doi, kind, value, count) in _read_rows(meta, _META_HEADER):
         if kind == "journal":
-            counters, key = ledger.cited_journals, value
+            counters, key = ledger.cited_journals, values.text(value)
         elif kind == "year":
-            counters, key = ledger.cited_years, int(value)
+            counters, key = ledger.cited_years, values.year(value)
         else:
-            raise ValueError(f"unknown meta kind {kind!r} in {meta.name}")
-        if doi not in counters:
-            counters[doi] = Counter()
-        counters[doi][key] += int(count)
+            raise ValueError(f"{meta}, line {line}: unknown meta kind {kind!r}")
+        counter = counters.get(doi)
+        if counter is None:
+            counter = counters[values.text(doi)] = Counter()
+        counter[key] = counter.get(key, 0) + int(count)
 
-    for line, row in _read_rows(sources):
-        journal, issns = row[0], row[1]
-        cells = row[2:]
-        counts = _section_weights(cells, sources, line)
+    for line, (journal, issns, *cells) in _read_rows(sources, _SOURCES_HEADER):
+        journal = values.text(journal)
+        counts = values.section_weights(cells, sources, line)
         if counts:
             ledger.source_sections[journal] = counts
-        other = _parse_weight(cells[-1], sources, line)
+        other = values.weight(cells[-1], sources, line)
         if other:
             ledger.source_other[journal] = other
-        if issns:
-            ledger.source_issns[journal] = set(issns.split(";"))
-        else:
-            ledger.source_issns.setdefault(journal, set())
+        ledger.source_issns[journal] = set(issns.split(";")) if issns else set()
 
-    for line, row in _read_rows(targets):
-        title, weight = row
-        ledger.target_other[title] = _parse_weight(weight, targets, line)
+    for line, (title, weight) in _read_rows(targets, _TARGETS_HEADER):
+        ledger.target_other[values.text(title)] = values.weight(weight, targets, line)
 
     return ledger

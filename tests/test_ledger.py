@@ -23,7 +23,7 @@ from seccite import (
     resolve_cited_year,
     write_ledger,
 )
-from seccite.ledger import ArticleTally
+from seccite.ledger import LEDGER_COLUMNS, ArticleTally
 from seccite.sections import SECTION_ORDER
 
 import oracles
@@ -234,6 +234,16 @@ class TestResolution:
         assert modal_cited_journal(ledger, "10.1/x") == "A Journal"
 
 
+_PARTS = ["", ".cohort", ".meta", ".sources", ".targets"]
+
+
+def _write_full_ledger(directory):
+    """A written ledger whose five files each hold at least two rows."""
+    ledger = random_ledger(random.Random(5), dois=4, journals=2)
+    ledger.target_other = {"A": Fraction(1), "B": Fraction(2, 3)}
+    write_ledger(ledger, directory)
+
+
 class TestRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         ledger = random_ledger(random.Random(21), dois=20, journals=4)
@@ -295,9 +305,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("cell", ["1.5", "x/2", "1/0", "1/-3", "2", ""])
     @pytest.mark.parametrize("part, column", [("", 1), (".sources", -1), (".targets", 1)])
     def test_read_names_file_and_line_of_bad_weight(self, tmp_path, part, column, cell):
-        ledger = random_ledger(random.Random(5), dois=4, journals=2)
-        ledger.target_other = {"A": Fraction(1), "B": Fraction(2, 3)}
-        write_ledger(ledger, tmp_path)
+        _write_full_ledger(tmp_path)
         path = tmp_path / f"ledger{part}.tsv"
         lines = path.read_text("utf-8").split("\n")
         cells = lines[2].split("\t")
@@ -307,6 +315,115 @@ class TestRoundTrip:
         message = re.escape(f"ledger{part}.tsv, line 3: weight {cell!r}")
         with pytest.raises(ValueError, match=message):
             read_ledger(tmp_path)
+
+    @pytest.mark.parametrize("part", _PARTS)
+    def test_read_names_file_of_wrong_header(self, tmp_path, part):
+        _write_full_ledger(tmp_path)
+        path = tmp_path / f"ledger{part}.tsv"
+        path.write_bytes(b"x" + path.read_bytes())
+        with pytest.raises(ValueError, match=re.escape(f"ledger{part}.tsv, line 1: header 'x")):
+            read_ledger(tmp_path)
+
+    @pytest.mark.parametrize("change", [-1, 1], ids=["cell-short", "cell-extra"])
+    @pytest.mark.parametrize("part", _PARTS)
+    def test_read_names_file_and_line_of_bad_row_width(self, tmp_path, part, change):
+        _write_full_ledger(tmp_path)
+        path = tmp_path / f"ledger{part}.tsv"
+        lines = path.read_bytes().split(b"\n")
+        width = lines[0].count(b"\t") + 1
+        lines[2] = lines[2].rsplit(b"\t", 1)[0] if change < 0 else lines[2] + b"\t1/1"
+        path.write_bytes(b"\n".join(lines))
+        message = re.escape(f"ledger{part}.tsv, line 3: {width + change} cells, not {width}")
+        with pytest.raises(ValueError, match=message):
+            read_ledger(tmp_path)
+
+    def test_cut_main_row_does_not_load(self, tmp_path):
+        ledger = Ledger()
+        ledger.vectors["10.1/x"] = {I: Fraction(1, 2), M: Fraction(1, 2)}
+        ledger.cohort_index["10.1/x"] = {("J", 2019)}
+        write_ledger(ledger, tmp_path)
+        (tmp_path / "ledger.tsv").write_text(
+            "\t".join(["doi", *LEDGER_COLUMNS, "total"]) + "\n10.1/x\t1/2\t0/1\n", "utf-8"
+        )
+        with pytest.raises(ValueError, match=re.escape("ledger.tsv, line 2: 3 cells, not 8")):
+            read_ledger(tmp_path)
+
+
+def _twin_ledger():
+    """Two DOIs with identical rows in every file."""
+    ledger = Ledger()
+    for doi in ("10.1/a", "10.1/b"):
+        ledger.vectors[doi] = {I: Fraction(1, 2), M: Fraction(1, 4), D: Fraction(1, 4)}
+        ledger.cohort_index[doi] = {("J", 2019), ("K", None)}
+        ledger.cited_journals[doi] = Counter({"J": 2})
+        ledger.cited_years[doi] = Counter({2012: 2})
+    return ledger
+
+
+def _same_key(mapping, key):
+    return next(k for k in mapping if k == key)
+
+
+class TestSharedValues:
+    """read_ledger shares immutable values and never a mutable container."""
+
+    def test_equal_values_load_as_one_object(self, tmp_path):
+        write_ledger(_twin_ledger(), tmp_path)
+        back = read_ledger(tmp_path)
+        assert back == _twin_ledger()
+        a, b = back.vectors["10.1/a"], back.vectors["10.1/b"]
+        assert a[I] is b[I] and a[M] is b[M] and a[M] is a[D]
+        assert a is not b
+        pairs_a = sorted(back.cohort_index["10.1/a"], key=str)
+        pairs_b = sorted(back.cohort_index["10.1/b"], key=str)
+        assert all(x is y for x, y in zip(pairs_a, pairs_b))
+        assert back.cohort_index["10.1/a"] is not back.cohort_index["10.1/b"]
+        for counters in (back.cited_journals, back.cited_years):
+            assert counters["10.1/a"] is not counters["10.1/b"]
+            assert _same_key(counters["10.1/a"], next(iter(counters["10.1/b"]))) is next(
+                iter(counters["10.1/b"])
+            )
+        # "J" is a citing journal in the cohort file and a cited one in the meta file.
+        assert pairs_a[0] == ("J", 2019)
+        assert _same_key(back.cited_journals["10.1/a"], "J") is pairs_a[0][0]
+        for doi in ("10.1/a", "10.1/b"):
+            key = _same_key(back.vectors, doi)
+            for mapping in (back.cohort_index, back.cited_journals, back.cited_years):
+                assert _same_key(mapping, doi) is key
+
+    def test_update_of_one_doi_leaves_its_twin_unchanged(self, tmp_path):
+        write_ledger(_twin_ledger(), tmp_path)
+        back = read_ledger(tmp_path)
+        delta = Ledger()
+        delta.vectors["10.1/a"] = {I: Fraction(1, 2), R: Fraction(1, 2)}
+        delta.cohort_index["10.1/a"] = {("L", 2020)}
+        delta.cited_journals["10.1/a"] = Counter({"J": 1, "Other": 1})
+        delta.cited_years["10.1/a"] = Counter({2012: 1, 2013: 1})
+        back.update(delta)
+        twin = _twin_ledger()
+        assert back.vectors["10.1/a"] == {I: Fraction(1), M: Fraction(1, 4),
+                                          D: Fraction(1, 4), R: Fraction(1, 2)}
+        assert back.vectors["10.1/b"] == twin.vectors["10.1/b"]
+        assert back.cohort_index["10.1/b"] == twin.cohort_index["10.1/b"]
+        assert back.cited_journals["10.1/b"] == twin.cited_journals["10.1/b"]
+        assert back.cited_years["10.1/b"] == twin.cited_years["10.1/b"]
+
+    def test_update_copies_containers_it_takes_over(self):
+        b = random_ledger(random.Random(13), dois=5, journals=2)
+        b_before = copy.deepcopy(b)
+        a = Ledger()
+        a.update(b)
+        assert a == b
+        for doi in a.vectors:
+            a.vectors[doi][R] = a.vectors[doi].get(R, Fraction(0)) + 1
+            a.cohort_index[doi].add(("New", 2000))
+            a.cited_journals[doi]["New"] += 1
+            a.cited_years[doi][1999] += 1
+        for journal in a.source_issns:
+            a.source_sections.setdefault(journal, {})[R] = Fraction(7)
+            a.source_issns[journal].add("0000-0000")
+        a.update(b)
+        assert b == b_before
 
 
 # Text as the parser emits it: XML characters, whitespace runs collapsed to
@@ -387,3 +504,16 @@ class TestLedgerProperties:
         with tempfile.TemporaryDirectory() as directory:
             write_ledger(ledger, directory)
             assert read_ledger(directory) == ledger
+
+    @settings(max_examples=60, deadline=None)
+    @given(ledgers(), st.data())
+    def test_row_cut_at_a_tab_fails_naming_file_and_line(self, ledger, data):
+        with tempfile.TemporaryDirectory() as directory:
+            path = data.draw(st.sampled_from(write_ledger(ledger, directory)))
+            lines = path.read_bytes().split(b"\n")
+            index = data.draw(st.sampled_from([i for i, row in enumerate(lines) if row]))
+            tabs = [i for i, byte in enumerate(lines[index]) if byte == ord("\t")]
+            lines[index] = lines[index][: data.draw(st.sampled_from(tabs))]
+            path.write_bytes(b"\n".join(lines))
+            with pytest.raises(ValueError, match=re.escape(f"{path.name}, line {index + 1}: ")):
+                read_ledger(directory)
