@@ -159,37 +159,53 @@ def _name_table(overrides: str | None):
     return load_name_table(overrides)
 
 
-def _ingest_one(path_text: str, overrides: str | None):
-    """Per-file worker: parse, tally, return a one-article ledger delta.
+# Files per worker task. A task folds its files into one Ledger, so the
+# parent unpickles and merges one Ledger per chunk rather than one per file.
+_CHUNK_FILES = 32
 
-    Any exception raised for one file costs only that file: the delta is
-    None and the one reason given is logged as MALFORMED. An unexpected one
-    (not a JatsError) also prints its traceback to stderr.
+
+def _ingest_chunk(paths: list[str], overrides: str | None):
+    """Worker: fold a run of files into one Ledger.
+
+    Returns the chunk's Ledger and one (path, counts, issues) per file, in
+    order. A file that failed has counts None and its one MALFORMED reason
+    as its issues; it added nothing to the Ledger.
+    """
+    ledger = Ledger()
+    return ledger, [_ingest_one(path_text, overrides, ledger) for path_text in paths]
+
+
+def _ingest_one(path_text: str, overrides: str | None, ledger: Ledger):
+    """Parse and tally one file into `ledger`; returns (path, counts, issues).
+
+    Any exception raised for one file costs only that file: counts is None
+    and the one reason given is logged as MALFORMED. An unexpected one (not
+    a JatsError) also prints its traceback to stderr. The Ledger is written
+    only by add_article's last, infallible step.
     """
     try:
         data = Path(path_text).read_bytes()
     except OSError as exc:
-        return path_text, None, {}, [f"{path_text}: cannot read file: {exc.strerror or exc}"]
+        return path_text, None, [f"{path_text}: cannot read file: {exc.strerror or exc}"]
     try:
         parsed = parse_article(data, source=path_text)
         counts = {"documents": 1}
         if not is_research_article(parsed.record):
-            return path_text, Ledger(), counts, list(parsed.issues)
+            return path_text, counts, list(parsed.issues)
         counts["research_articles"] = 1
         counts["references"] = len(parsed.references)
         counts["references_with_doi"] = sum(
             1 for ref in parsed.references if ref.cited_doi is not None
         )
         labels = outer_section_labels(parsed, _name_table(overrides))
-        delta = Ledger()
-        delta.add_article(parsed, labels)
+        ledger.add_article(parsed, labels)
     except JatsError as exc:
-        return path_text, None, {}, [str(exc)]
+        return path_text, None, [str(exc)]
     except Exception as exc:
         print(f"seccite: {path_text}: unexpected error\n{traceback.format_exc()}",
               file=sys.stderr)
-        return path_text, None, {}, [f"{type(exc).__name__}: {exc}"]
-    return path_text, delta, counts, list(parsed.issues)
+        return path_text, None, [f"{type(exc).__name__}: {exc}"]
+    return path_text, counts, list(parsed.issues)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -223,20 +239,22 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     failures: list[tuple[str, str]] = []
     issues: list[tuple[str, str]] = []
 
+    chunks = [files[i:i + _CHUNK_FILES] for i in range(0, len(files), _CHUNK_FILES)]
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        work = (_ingest_one, files, itertools.repeat(overrides_text))
-        chunk = max(1, len(files) // (workers * 8))
-        results = pool.map(*work, chunksize=chunk) if pool else map(*work)
-        for i, (path_text, delta, counts, file_issues) in enumerate(results, 1):
-            if delta is None:
-                failures.append((path_text, file_issues[0]))
-            else:
-                for key, value in counts.items():
-                    totals[key] += value
-                issues.extend((path_text, issue) for issue in file_issues)
-                ledger.update(delta)
-            if i % 200 == 0:
-                print(f"seccite: ingested {i}/{len(files)}", file=sys.stderr)
+        work = (_ingest_chunk, chunks, itertools.repeat(overrides_text))
+        done = 0
+        for chunk_ledger, records in pool.map(*work) if pool else map(*work):
+            ledger.update(chunk_ledger)
+            for path_text, counts, file_issues in records:
+                if counts is None:
+                    failures.append((path_text, file_issues[0]))
+                else:
+                    for key, value in counts.items():
+                        totals[key] += value
+                    issues.extend((path_text, issue) for issue in file_issues)
+                done += 1
+                if done % 200 == 0:
+                    print(f"seccite: ingested {done}/{len(files)}", file=sys.stderr)
 
     if totals["documents"] == 0:
         raise CliError(

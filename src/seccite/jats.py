@@ -224,11 +224,9 @@ def _resolve(
         return ()
 
 
-_WS = re.compile(r"\s+")
-
-
 def _collapse(text: str) -> str:
-    return _WS.sub(" ", text).strip()
+    """Runs of whitespace to one space, none at either end."""
+    return " ".join(text.split())
 
 
 _YEAR = re.compile(r"\d{4}")
@@ -485,7 +483,7 @@ class _ArticlePass:
                 continue
             sep = None
             if blocks == last_blocks:
-                sep = _JOINERS.get(_WS.sub("", "".join(texts[last_end:start])))
+                sep = _JOINERS.get("".join("".join(texts[last_end:start]).split()))
             if sep is None:
                 pairs = []
                 markers.append((outer, pairs))

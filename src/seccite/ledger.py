@@ -13,10 +13,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import lcm
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from .jats import ParsedArticle, ReferenceEntry
 from .sections import SECTION_ORDER, CanonicalSection, SectionLabel, normalize_section
@@ -104,6 +105,12 @@ def _mention_maps(
     return recognized, other
 
 
+@lru_cache(maxsize=1024)
+def _unit_weight(count: int, total: int) -> Fraction:
+    """count/total; mention counts are small, so few distinct weights recur."""
+    return Fraction(count, total)
+
+
 def fractionalize(tally: ArticleTally) -> list[CitationContribution]:
     """Turn mention counts into per-DOI weights that sum to exactly 1."""
     contributions: list[CitationContribution] = []
@@ -114,7 +121,7 @@ def fractionalize(tally: ArticleTally) -> list[CitationContribution]:
             count = per_section.get(section)
             if count:
                 contributions.append(
-                    CitationContribution(doi, section, Fraction(count, total))
+                    CitationContribution(doi, section, _unit_weight(count, total))
                 )
     return contributions
 
@@ -148,45 +155,55 @@ class Ledger:
         return self.vectors[doi].get(section, Fraction(0))
 
     def add_article(self, article: ParsedArticle, labels: Mapping[str, SectionLabel]) -> None:
-        """Fold one research article's citations into this ledger."""
+        """Fold one research article's citations into this ledger.
+
+        Everything that can fail runs before the first write, so an article
+        that raises leaves the ledger as it was.
+        """
         recognized, other = _mention_maps(article, labels)
-        journal = article.record.journal_title
-        year = article.record.pub_year
+        record = article.record
+        journal, year = record.journal_title, record.pub_year
+        # Holds every DOI of `recognized` and `other`, which come from these references.
         refs_by_doi: dict[str, ReferenceEntry] = {}
         for ref in article.references:
             if ref.cited_doi is not None and ref.cited_doi not in refs_by_doi:
                 refs_by_doi[ref.cited_doi] = ref
+        per_doi: dict[str, dict[CanonicalSection, Fraction]] = {}
+        per_section: dict[CanonicalSection, list[Fraction]] = {}
+        for contribution in fractionalize(ArticleTally(record.doi, journal, year, recognized)):
+            per_doi.setdefault(contribution.cited_doi, {})[contribution.section] = (
+                contribution.weight
+            )
+            per_section.setdefault(contribution.section, []).append(contribution.weight)
+        journal_weights = {section: exact_sum(weights) for section, weights in per_section.items()}
+        # Mixed pairs carry all their weight in the six sections, so only
+        # pairs cited outside them alone go to the "other" buckets.
+        other_titles = Counter(
+            refs_by_doi[doi].cited_journal_title or "" for doi in other if doi not in recognized
+        )
 
-        tally = ArticleTally(article.record.doi, journal, year, recognized)
-        for contribution in fractionalize(tally):
-            doi = contribution.cited_doi
-            vector = self.vectors.setdefault(doi, {})
-            vector[contribution.section] = (
-                vector.get(contribution.section, Fraction(0)) + contribution.weight
-            )
-            per_journal = self.source_sections.setdefault(journal, {})
-            per_journal[contribution.section] = (
-                per_journal.get(contribution.section, Fraction(0)) + contribution.weight
-            )
-        for doi in recognized:
+        for doi, weights in per_doi.items():
+            vector = self.vectors.get(doi)
+            if vector is None:
+                self.vectors[doi] = weights
+            else:
+                _add_weights(vector, weights)
             self.cohort_index.setdefault(doi, set()).add((journal, year))
-            ref = refs_by_doi.get(doi)
-            if ref is not None:
-                if ref.cited_journal_title:
-                    self.cited_journals.setdefault(doi, Counter())[ref.cited_journal_title] += 1
-                if ref.cited_year is not None:
-                    self.cited_years.setdefault(doi, Counter())[ref.cited_year] += 1
-
-        for doi in other:
-            if doi in recognized:
-                continue  # mixed pairs carry all their weight in the six sections
-            self.source_other[journal] = self.source_other.get(journal, Fraction(0)) + 1
-            ref = refs_by_doi.get(doi)
-            title = (ref.cited_journal_title if ref is not None else None) or ""
-            self.target_other[title] = self.target_other.get(title, Fraction(0)) + 1
+            ref = refs_by_doi[doi]
+            if ref.cited_journal_title:
+                self.cited_journals.setdefault(doi, Counter())[ref.cited_journal_title] += 1
+            if ref.cited_year is not None:
+                self.cited_years.setdefault(doi, Counter())[ref.cited_year] += 1
+        if journal_weights:
+            _add_weights(self.source_sections.setdefault(journal, {}), journal_weights)
+        if other_titles:
+            self.source_other[journal] = (
+                self.source_other.get(journal, Fraction(0)) + other_titles.total()
+            )
+            for title, count in other_titles.items():
+                self.target_other[title] = self.target_other.get(title, Fraction(0)) + count
         if recognized or other:
-            issns = self.source_issns.setdefault(journal, set())
-            issns.update(article.record.issn_list)
+            self.source_issns.setdefault(journal, set()).update(record.issn_list)
 
     def update(self, other: "Ledger") -> None:
         """In-place pointwise addition / evidence union.
@@ -388,6 +405,20 @@ def _parse_weight(cell: str, path: Path, line: int) -> Fraction:
     raise ValueError(f"{path}, line {line}: weight {cell!r} is not n/d with integers n and d > 0")
 
 
+def _parse_int(cell: str, what: str, path: Path, line: int) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise ValueError(f"{path}, line {line}: {what} {cell!r} is not an integer") from None
+
+
+def _first(key: str, seen: Container[str], what: str, path: Path, line: int) -> str:
+    """`key`, unless an earlier row of the file already had it."""
+    if key in seen:
+        raise ValueError(f"{path}, line {line}: {what} {key!r} repeats an earlier row")
+    return key
+
+
 class _Interned:
     """One object per distinct value met during one read_ledger call.
 
@@ -411,17 +442,19 @@ class _Interned:
             value = self.weights[cell] = _parse_weight(cell, path, line)
         return value
 
-    def year(self, cell: str) -> int:
+    def year(self, cell: str, path: Path, line: int) -> int:
         value = self.years.get(cell)
         if value is None:
-            value = self.years[cell] = int(cell)
+            value = self.years[cell] = _parse_int(cell, "year", path, line)
         return value
 
-    def pair(self, journal: str, year: str) -> tuple[str, int | None]:
+    def pair(self, journal: str, year: str, path: Path, line: int) -> tuple[str, int | None]:
         key = (journal, year)
         value = self.pairs.get(key)
         if value is None:
-            value = self.pairs[key] = (self.text(journal), self.year(year) if year else None)
+            value = self.pairs[key] = (
+                self.text(journal), self.year(year, path, line) if year else None
+            )
         return value
 
     def section_weights(
@@ -440,8 +473,10 @@ def read_ledger(directory: str | Path) -> Ledger:
     """Load a ledger written by write_ledger; exact inverse.
 
     Raises ValueError naming the file and line for a header other than the
-    one write_ledger writes, a row with another number of cells, or a weight
-    cell that is not "n/d" with integers n and d > 0. Equal weights, cohort
+    one write_ledger writes, a row with another number of cells, a weight
+    cell that is not "n/d" with integers n and d > 0, a count or year that
+    is not an integer, or a DOI, journal or cited-journal title that
+    repeats an earlier row of its file. Equal weights, cohort
     pairs, journal titles, years and DOIs come back as one shared object.
     """
     main, cohort, meta, sources, targets = ledger_files(directory)
@@ -451,30 +486,30 @@ def read_ledger(directory: str | Path) -> Ledger:
     if not main.exists():
         raise FileNotFoundError(f"ledger file not found: {main}")
     for line, (doi, *cells) in _read_rows(main, _MAIN_HEADER):
-        doi = values.text(doi)
+        doi = values.text(_first(doi, ledger.vectors, "DOI", main, line))
         ledger.vectors[doi] = values.section_weights(cells, main, line)
         ledger.cohort_index[doi] = set()
 
-    for _, (doi, journal, year) in _read_rows(cohort, _COHORT_HEADER):
+    for line, (doi, journal, year) in _read_rows(cohort, _COHORT_HEADER):
         doi_cohort = ledger.cohort_index.get(doi)
         if doi_cohort is None:
             doi_cohort = ledger.cohort_index[values.text(doi)] = set()
-        doi_cohort.add(values.pair(journal, year))
+        doi_cohort.add(values.pair(journal, year, cohort, line))
 
     for line, (doi, kind, value, count) in _read_rows(meta, _META_HEADER):
         if kind == "journal":
             counters, key = ledger.cited_journals, values.text(value)
         elif kind == "year":
-            counters, key = ledger.cited_years, values.year(value)
+            counters, key = ledger.cited_years, values.year(value, meta, line)
         else:
             raise ValueError(f"{meta}, line {line}: unknown meta kind {kind!r}")
         counter = counters.get(doi)
         if counter is None:
             counter = counters[values.text(doi)] = Counter()
-        counter[key] = counter.get(key, 0) + int(count)
+        counter[key] = counter.get(key, 0) + _parse_int(count, "count", meta, line)
 
     for line, (journal, issns, *cells) in _read_rows(sources, _SOURCES_HEADER):
-        journal = values.text(journal)
+        journal = values.text(_first(journal, ledger.source_issns, "journal", sources, line))
         counts = values.section_weights(cells, sources, line)
         if counts:
             ledger.source_sections[journal] = counts
@@ -484,6 +519,7 @@ def read_ledger(directory: str | Path) -> Ledger:
         ledger.source_issns[journal] = set(issns.split(";")) if issns else set()
 
     for line, (title, weight) in _read_rows(targets, _TARGETS_HEADER):
-        ledger.target_other[values.text(title)] = values.weight(weight, targets, line)
+        title = values.text(_first(title, ledger.target_other, "cited journal", targets, line))
+        ledger.target_other[title] = values.weight(weight, targets, line)
 
     return ledger

@@ -188,6 +188,74 @@ class TestIngestCommand:
         assert ledger_bytes(out) == ledger_bytes(expected)
         assert ledger_bytes(out) != ledger_bytes(ingested)
 
+    @pytest.fixture
+    def mixed_corpus(self, corpus, tmp_path) -> Path:
+        """The synth corpus plus a malformed file and one that logs an ISSUE."""
+        mixed = tmp_path / "mixed"
+        shutil.copytree(corpus, mixed, ignore=shutil.ignore_patterns("ground_truth"))
+        (mixed / "bad.xml").write_bytes(b"<article><unclosed>")
+        (mixed / "issue.xml").write_bytes(make_article(
+            body='<sec><title>Introduction</title>'
+                 '<p><xref ref-type="bibr" rid="r1 r9">[1, 9]</xref></p></sec>'
+        ))
+        return mixed
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_chunk_size_does_not_change_output(
+        self, mixed_corpus, tmp_path, monkeypatch, chunk, workers
+    ):
+        expected = tmp_path / "expected"
+        assert run("ingest", "--corpus-dir", str(mixed_corpus), "--output-dir", str(expected),
+                   "--workers", "1") == 0
+        log = (expected / "ingest_log.txt").read_text()
+        assert "MALFORMED\t" in log and "ISSUE\t" in log
+        monkeypatch.setattr(cli, "_CHUNK_FILES", chunk)
+        out = tmp_path / "out"
+        assert run("ingest", "--corpus-dir", str(mixed_corpus), "--output-dir", str(out),
+                   "--workers", workers) == 0
+        assert ledger_bytes(out) == ledger_bytes(expected)
+        assert (out / "ingest_log.txt").read_bytes() == (expected / "ingest_log.txt").read_bytes()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failures_inside_a_chunk_cost_only_their_file(
+        self, corpus, tmp_path, monkeypatch, workers
+    ):
+        files = sorted(corpus.glob("*.xml"))
+        victim = files[10]
+        real_parse = cli.parse_article
+
+        def parse_article(data, source="<bytes>"):
+            if source == str(victim):
+                raise KeyError("broken")
+            return real_parse(data, source=source)
+
+        with_failures = tmp_path / "with_failures"
+        shutil.copytree(corpus, with_failures, ignore=shutil.ignore_patterns("ground_truth"))
+        unreadable = with_failures / (files[3].stem + "_folder.xml")
+        unreadable.mkdir()
+        victim = with_failures / victim.name
+        monkeypatch.setattr(cli, "_CHUNK_FILES", 7)
+        monkeypatch.setattr(cli, "parse_article", parse_article)
+        out = tmp_path / "out"
+        assert run("ingest", "--corpus-dir", str(with_failures), "--output-dir", str(out),
+                   "--workers", workers) == 0
+        log = (out / "ingest_log.txt").read_text()
+        malformed = [line for line in log.splitlines() if line.startswith("MALFORMED\t")]
+        assert len(malformed) == 2
+        assert f"{unreadable}: cannot read file" in malformed[0]
+        assert malformed[1] == f"MALFORMED\t{victim}\tKeyError: 'broken'"
+
+        monkeypatch.undo()
+        rest = tmp_path / "rest"
+        rest.mkdir()
+        for file in files:
+            if file.name != victim.name:
+                shutil.copy(file, rest / file.name)
+        expected = tmp_path / "expected"
+        assert run("ingest", "--corpus-dir", str(rest), "--output-dir", str(expected)) == 0
+        assert ledger_bytes(out) == ledger_bytes(expected)
+
     def test_run_level_failures_stay_fatal(self, corpus, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("", "utf-8")

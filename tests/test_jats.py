@@ -43,6 +43,13 @@ class TestParseArticle:
         assert record.doi == "10.1000/fixture"
         assert record.pub_year == 2019
 
+    def test_unicode_whitespace_collapses_to_one_space(self):
+        spaces = "\x85\xa0\u1680\u2000\u2009\u2028\u2029\u202f\u205f\u3000\t\n "
+        journal = f"{spaces}Fixture{spaces}Journal{spaces}"
+        assert parse_article(make_article(journal=journal), "ws.xml").record.journal_title == (
+            "Fixture Journal"
+        )
+
     def test_review_article_label_is_recorded_not_discarded(self):
         article = parse_article(
             make_article(article_type="review-article"), "review.xml"
@@ -254,6 +261,15 @@ class TestMarkerLocation:
             f"<p>Known {xref('r1')}, {xref('r2')}.</p></sec>"
         )
         article = parse_article(make_article(body=body), "comma.xml")
+        (citation,) = article.citations
+        assert citation.ref_ids == ("r1", "r2")
+
+    def test_xrefs_joined_across_unicode_whitespace_form_one_marker(self):
+        body = (
+            "<sec><title>Introduction</title>"
+            f"<p>Known {xref('r1')}\xa0,\u2009{xref('r2')}.</p></sec>"
+        )
+        article = parse_article(make_article(body=body), "nbsp.xml")
         (citation,) = article.citations
         assert citation.ref_ids == ("r1", "r2")
 

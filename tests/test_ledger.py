@@ -23,6 +23,7 @@ from seccite import (
     resolve_cited_year,
     write_ledger,
 )
+from seccite import ledger as ledger_module
 from seccite.ledger import LEDGER_COLUMNS, ArticleTally
 from seccite.sections import SECTION_ORDER
 
@@ -173,6 +174,29 @@ class TestLedgerAccumulation:
         assert ledger.cited_journals["10.2000/aaa"] == Counter({"Cited Journal One": 1})
         assert ledger.cited_years["10.2000/aaa"] == Counter({2012: 1})
         assert set(ledger.vectors) == set(ledger.cohort_index)
+
+
+    @pytest.mark.parametrize("step", ["_mention_maps", "fractionalize", "exact_sum"])
+    def test_failed_article_leaves_ledger_unchanged(self, monkeypatch, step):
+        refs = ref_entries(4)
+        body = (
+            f"<sec><title>Introduction</title><p>{xref('r1')}, {xref('r2')}.</p></sec>"
+            f"<sec><title>Methods</title><p>{xref('r1')} {xref('r3')}.</p></sec>"
+        )
+        article = parse_article(
+            make_article(body=body, refs=refs, abstract=f"<p>{xref('r4')}</p>"), "t.xml"
+        )
+        labels = outer_section_labels(article)
+        ledger = added(article, labels)
+        before = copy.deepcopy(ledger)
+
+        def fail(*args):
+            raise KeyError(step)
+
+        monkeypatch.setattr(ledger_module, step, fail)
+        with pytest.raises(KeyError):
+            ledger.add_article(article, labels)
+        assert ledger == before
 
 
 class TestMerge:
@@ -334,6 +358,40 @@ class TestRoundTrip:
         lines[2] = lines[2].rsplit(b"\t", 1)[0] if change < 0 else lines[2] + b"\t1/1"
         path.write_bytes(b"\n".join(lines))
         message = re.escape(f"ledger{part}.tsv, line 3: {width + change} cells, not {width}")
+        with pytest.raises(ValueError, match=message):
+            read_ledger(tmp_path)
+
+    @pytest.mark.parametrize(
+        "part, kind, column, what",
+        [(".meta", "journal", 3, "count"), (".meta", "year", 2, "year"),
+         (".cohort", None, 2, "year")],
+        ids=["meta-count", "meta-year", "cohort-year"],
+    )
+    def test_read_names_file_and_line_of_bad_integer(self, tmp_path, part, kind, column, what):
+        _write_full_ledger(tmp_path)
+        path = tmp_path / f"ledger{part}.tsv"
+        lines = path.read_text("utf-8").split("\n")
+        index = next(i for i, line in enumerate(lines[1:], 1)
+                     if kind is None or line.split("\t")[1] == kind)
+        cells = lines[index].split("\t")
+        cells[column] = "x"
+        lines[index] = "\t".join(cells)
+        path.write_text("\n".join(lines), "utf-8")
+        message = re.escape(f"ledger{part}.tsv, line {index + 1}: {what} 'x' is not an integer")
+        with pytest.raises(ValueError, match=message):
+            read_ledger(tmp_path)
+
+    @pytest.mark.parametrize(
+        "part, what", [("", "DOI"), (".sources", "journal"), (".targets", "cited journal")]
+    )
+    def test_read_rejects_a_repeated_key(self, tmp_path, part, what):
+        _write_full_ledger(tmp_path)
+        path = tmp_path / f"ledger{part}.tsv"
+        lines = path.read_text("utf-8").split("\n")
+        lines.insert(3, lines[1])
+        path.write_text("\n".join(lines), "utf-8")
+        key = lines[1].split("\t")[0]
+        message = re.escape(f"ledger{part}.tsv, line 4: {what} {key!r} repeats an earlier row")
         with pytest.raises(ValueError, match=message):
             read_ledger(tmp_path)
 
