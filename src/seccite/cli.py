@@ -9,39 +9,91 @@ inputs and config.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
-import hashlib
-import itertools
+import importlib
 import json
 import os
 import sys
-import traceback
-from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .fields import FieldMapError, load_classification
-from .jats import JatsError, is_research_article, parse_article
-from .ledger import Ledger, ledger_files, outer_section_labels, read_ledger, write_ledger
-from .metrics import (
-    CORRELATION_AXES,
-    SHARE_COLUMNS,
-    anchored_subset_geomeans,
-    cited_dois,
-    correlation_tables,
-    share_by_field,
-    top_share_articles,
-)
-from .sections import SECTION_ORDER, load_name_table
-from .synth import CorpusSpec, DEFAULT_STRUCTURE_MIX, generate_corpus
 
 WORKERS_ENV = "SECCITE_WORKERS"
 
 
 class CliError(Exception):
     """Runtime failure reported on stderr with exit code 1."""
+
+
+# Library names the commands call -> the submodule that defines each. A name
+# becomes a global of this module only when a command needs it or it is read
+# from outside, so each command imports only the submodules it runs, and a
+# caller can still replace `cli.<name>` before a command runs.
+_HOMES = {
+    "FieldMapError": "fields",
+    "load_classification": "fields",
+    "JatsError": "jats",
+    "is_research_article": "jats",
+    "parse_article": "jats",
+    "Ledger": "ledger",
+    "ledger_files": "ledger",
+    "outer_section_labels": "ledger",
+    "read_ledger": "ledger",
+    "write_ledger": "ledger",
+    "CORRELATION_AXES": "metrics",
+    "SHARE_COLUMNS": "metrics",
+    "anchored_subset_geomeans": "metrics",
+    "cited_dois": "metrics",
+    "correlation_tables": "metrics",
+    "share_by_field": "metrics",
+    "top_share_articles": "metrics",
+    "SECTION_ORDER": "sections",
+    "load_name_table": "sections",
+    "CorpusSpec": "synth",
+    "DEFAULT_STRUCTURE_MIX": "synth",
+    "generate_corpus": "synth",
+}
+
+# The library names each command calls.
+_NEEDS = {
+    "ingest": ("JatsError", "Ledger", "is_research_article", "load_name_table",
+               "outer_section_labels", "parse_article", "write_ledger"),
+    "stats": ("CORRELATION_AXES", "SECTION_ORDER", "SHARE_COLUMNS",
+              "anchored_subset_geomeans", "cited_dois", "correlation_tables",
+              "ledger_files", "load_classification", "read_ledger", "share_by_field",
+              "top_share_articles"),
+    "synth": ("CorpusSpec", "DEFAULT_STRUCTURE_MIX", "generate_corpus", "write_ledger"),
+    "report": (),
+}
+
+
+def _bind(names: tuple[str, ...]) -> None:
+    """Import each name from its submodule into this module's globals,
+    leaving alone a name that is already bound (or replaced by a caller)."""
+    namespace = globals()
+    for name in names:
+        if name not in namespace:
+            module = importlib.import_module(f"{__package__}.{_HOMES[name]}")
+            namespace[name] = getattr(module, name)
+
+
+def __getattr__(name: str):
+    """Bind a library name the first time it is read from outside."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind((name,))
+    return globals()[name]
+
+
+def _runtime_errors() -> tuple[type[Exception], ...]:
+    """Exception types that `main` reports with exit code 1. A seccite error
+    type counts once its submodule is loaded; it cannot be raised before."""
+    errors = [CliError, ValueError, OSError]
+    for name in ("JatsError", "FieldMapError"):
+        module = sys.modules.get(f"{__package__}.{_HOMES[name]}")
+        if module is not None:
+            errors.append(getattr(module, name))
+    return tuple(errors)
 
 
 def _positive_int(text: str) -> int:
@@ -110,9 +162,10 @@ def main(argv: list[str] | None = None) -> int:
         "synth": cmd_synth,
         "report": cmd_report,
     }
+    _bind(_NEEDS[args.command])
     try:
         return handlers[args.command](args)
-    except (CliError, JatsError, FieldMapError, ValueError, OSError) as exc:
+    except _runtime_errors() as exc:  # evaluated only once an exception is raised
         print(f"seccite: error: {exc}", file=sys.stderr)
         return 1
 
@@ -171,6 +224,7 @@ def _ingest_chunk(paths: list[str], overrides: str | None):
     order. A file that failed has counts None and its one MALFORMED reason
     as its issues; it added nothing to the Ledger.
     """
+    _bind(_NEEDS["ingest"])  # a spawned or forkserver worker never ran main()
     ledger = Ledger()
     return ledger, [_ingest_one(path_text, overrides, ledger) for path_text in paths]
 
@@ -202,6 +256,8 @@ def _ingest_one(path_text: str, overrides: str | None, ledger: Ledger):
     except JatsError as exc:
         return path_text, None, [str(exc)]
     except Exception as exc:
+        import traceback
+
         print(f"seccite: {path_text}: unexpected error\n{traceback.format_exc()}",
               file=sys.stderr)
         return path_text, None, [f"{type(exc).__name__}: {exc}"]
@@ -209,6 +265,8 @@ def _ingest_one(path_text: str, overrides: str | None, ledger: Ledger):
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    import contextlib
+
     config = _load_config(args.config)
     corpus_dir = _resolve(args, config, "corpus_dir", None, Path)
     output_dir = _resolve(args, config, "output_dir", None, Path)
@@ -240,10 +298,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     issues: list[tuple[str, str]] = []
 
     chunks = [files[i:i + _CHUNK_FILES] for i in range(0, len(files), _CHUNK_FILES)]
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        work = (_ingest_chunk, chunks, itertools.repeat(overrides_text))
+    work = (_ingest_chunk, chunks, [overrides_text] * len(chunks))
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            results = stack.enter_context(ProcessPoolExecutor(workers)).map(*work)
+        else:
+            results = map(*work)
         done = 0
-        for chunk_ledger, records in pool.map(*work) if pool else map(*work):
+        for chunk_ledger, records in results:
             ledger.update(chunk_ledger)
             for path_text, counts, file_issues in records:
                 if counts is None:
@@ -297,6 +361,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def _sha256(path: Path) -> str:
     """Hex sha256 of a file, read in blocks rather than held whole."""
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 16), b""):
@@ -396,6 +462,9 @@ def _write_matrix_tsv(path: Path, matrix) -> None:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    import hashlib
+    from fractions import Fraction
+
     config = _load_config(args.config)
     ledger_dir = _resolve(args, config, "ledger_dir", None, Path)
     classification = _resolve(args, config, "classification", None, Path)
@@ -610,8 +679,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     out.append("")
     out.append("== Highly cited articles with the largest single-section share ==")
     for entry in bundle["top_share"]:
-        total = Fraction(entry["total"])
-        total_text = str(total.numerator) if total.denominator == 1 else f"{float(total):.2f}"
+        numerator, denominator = map(int, entry["total"].split("/"))
+        whole, remainder = divmod(numerator, denominator)
+        total_text = f"{numerator / denominator:.2f}" if remainder else str(whole)
         out.append(
             f"  {entry['section']:<12} {entry['doi']:<40} "
             f"share {100.0 * entry['share']:5.1f}%  total {total_text}"

@@ -17,10 +17,12 @@ from functools import lru_cache
 from itertools import chain
 from math import lcm
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Container, Iterable, Iterator, Mapping
 
-from .jats import ParsedArticle, ReferenceEntry
 from .sections import SECTION_ORDER, CanonicalSection, SectionLabel, normalize_section
+
+if TYPE_CHECKING:
+    from .jats import ParsedArticle, ReferenceEntry
 
 OTHER_COLUMN = "other"
 

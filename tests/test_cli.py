@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -189,6 +192,15 @@ class TestIngestCommand:
         assert ledger_bytes(out) != ledger_bytes(ingested)
 
     @pytest.fixture
+    def forked_workers(self):
+        """Pool workers see this process's monkeypatches only when forked from
+        it; fork is the default start method on Linux only up to Python 3.13."""
+        previous = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("fork", force=True)
+        yield
+        multiprocessing.set_start_method(previous, force=True)
+
+    @pytest.fixture
     def mixed_corpus(self, corpus, tmp_path) -> Path:
         """The synth corpus plus a malformed file and one that logs an ISSUE."""
         mixed = tmp_path / "mixed"
@@ -219,7 +231,7 @@ class TestIngestCommand:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_failures_inside_a_chunk_cost_only_their_file(
-        self, corpus, tmp_path, monkeypatch, workers
+        self, corpus, tmp_path, monkeypatch, workers, forked_workers
     ):
         files = sorted(corpus.glob("*.xml"))
         victim = files[10]
@@ -255,6 +267,16 @@ class TestIngestCommand:
         expected = tmp_path / "expected"
         assert run("ingest", "--corpus-dir", str(rest), "--output-dir", str(expected)) == 0
         assert ledger_bytes(out) == ledger_bytes(expected)
+
+    def test_worker_entry_runs_in_a_spawned_process(self, corpus):
+        # A spawned (or forkserver) worker imports seccite.cli afresh and never
+        # runs main(), so the worker entry must bind what it calls itself.
+        paths = [str(p) for p in sorted(corpus.glob("*.xml"))[:8]]
+        expected = cli._ingest_chunk(paths, None)
+        assert expected[0].vectors
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+            assert pool.submit(cli._ingest_chunk, paths, None).result() == expected
 
     def test_run_level_failures_stay_fatal(self, corpus, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -317,6 +339,13 @@ class TestStatsCommand:
                    "--classification", str(tmp_path / "nope.tsv"),
                    "--output-dir", str(tmp_path / "x")) == 1
         assert "--classification" in capsys.readouterr().err
+
+    def test_bad_classification_is_runtime_error(self, ingested, tmp_path, capsys):
+        bad = tmp_path / "fields.tsv"
+        bad.write_text("journal_title\tissn\tessn\tfield\nJournal A\t\t\tAstrology\n")
+        assert run("stats", "--ledger-dir", str(ingested), "--classification", str(bad),
+                   "--output-dir", str(tmp_path / "out")) == 1
+        assert "seccite: error:" in capsys.readouterr().err
 
     def test_single_doi_ledger_degenerates_gracefully(
         self, tmp_path, classification_file
@@ -401,6 +430,19 @@ class TestStatsCommand:
         }
 
 
+def write_bundle(path: Path, top_share: list[dict]) -> Path:
+    """A report.json with empty tables and the given top-share entries."""
+    empty = {"columns": ["introduction"], "rows": {}}
+    path.write_text(json.dumps({
+        "provenance": {"version": "0.1.0", "config_hash": "0" * 64},
+        "share": {"source-field": empty, "target-field": empty},
+        "correlations": {"axes": [], "year": 2012, "median": [], "positive_share": [],
+                         "notes": []},
+        "top_share": top_share,
+    }), "utf-8")
+    return path
+
+
 class TestReportCommand:
     def test_renders_bundle(self, ingested, classification_file, tmp_path, capsys):
         out = tmp_path / "rep"
@@ -416,6 +458,25 @@ class TestReportCommand:
     def test_missing_bundle(self, tmp_path, capsys):
         assert run("report", "--input", str(tmp_path / "report.json")) == 1
         assert "--input" in capsys.readouterr().err
+
+    def test_total_rendered_from_its_exact_ratio(self, tmp_path, capsys):
+        bundle = write_bundle(tmp_path / "report.json", [
+            {"section": "methods", "doi": "10.1000/seven-halves", "share": 0.5,
+             "total": "7/2"},
+            {"section": "results", "doi": "10.1000/six-halves", "share": 0.25,
+             "total": "6/2"},
+            {"section": "discussion", "doi": "10.1000/six-quarters", "share": 1.0,
+             "total": "6/4"},
+            {"section": "introduction", "doi": "10.1000/none", "share": 0.0,
+             "total": "0/1"},
+        ])
+        assert run("report", "--input", str(bundle)) == 0
+        assert capsys.readouterr().out.splitlines()[-4:] == [
+            "  methods      10.1000/seven-halves                     share  50.0%  total 3.50",
+            "  results      10.1000/six-halves                       share  25.0%  total 3",
+            "  discussion   10.1000/six-quarters                     share 100.0%  total 1.50",
+            "  introduction 10.1000/none                             share   0.0%  total 0",
+        ]
 
 
 class TestUsageErrors:
@@ -492,11 +553,87 @@ def test_version_flag(capsys):
     assert excinfo.value.code == 0
 
 
-def test_import_leaves_out_scipy_and_numpy():
+def fresh_interpreter(code: str) -> str:
+    """Run `code` in a new Python process that imports this seccite; its stdout."""
     src = str(Path(seccite.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    absent = {"scipy", "numpy", "urllib.request", "http.client"}
-    code = f"import sys, seccite.cli; print(sorted({absent!r} & set(sys.modules)))"
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+SUBMODULES = {f"seccite.{name}" for name in
+              ("cli", "fields", "jats", "ledger", "metrics", "sections", "synth")}
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("import seccite", SUBMODULES),
+    ("import seccite.cli", SUBMODULES - {"seccite.cli"}),
+    ("report", SUBMODULES - {"seccite.cli"}
+     | {"fractions", "concurrent.futures", "hashlib", "traceback"}),
+    ("stats", {"seccite.jats", "seccite.synth", "concurrent.futures"}),
+    ("ingest", {"seccite.metrics", "seccite.fields", "seccite.synth", "concurrent.futures"}),
+    ("synth", {"seccite.jats", "seccite.metrics", "seccite.fields", "concurrent.futures"}),
+], ids=["package", "cli", "report", "stats", "ingest", "synth"])
+def test_import_leaves_out_scipy_and_numpy(command, absent, corpus, ingested,
+                                           classification_file, tmp_path):
+    argv = {
+        "report": ["--input", str(write_bundle(tmp_path / "report.json", []))],
+        "stats": ["--ledger-dir", str(ingested), "--classification",
+                  str(classification_file), "--output-dir", str(tmp_path / "stats")],
+        "ingest": ["--corpus-dir", str(corpus), "--output-dir", str(tmp_path / "ledger"),
+                   "--workers", "1"],
+        "synth": ["--out-dir", str(tmp_path / "synth"), "--articles", "5"],
+    }
+    if command in argv:
+        command = ("from seccite.cli import main\n"
+                   f"if main({[command, *argv[command]]!r}):\n    sys.exit('failed')")
+    absent |= {"scipy", "numpy", "urllib.request", "http.client"}
+    code = f"import sys\n{command}\nprint(sorted(set(sys.modules) & {absent!r}))"
+    assert fresh_interpreter(code).splitlines()[-1] == "[]"
+
+
+# Every top-level name of seccite -> the submodule that defines it.
+PUBLIC_HOMES = {
+    "load_classification": "fields",
+    "is_research_article": "jats",
+    "parse_article": "jats",
+    **dict.fromkeys(["Ledger", "fractionalize", "merge", "modal_cited_journal",
+                     "outer_section_labels", "read_ledger", "resolve_cited_year",
+                     "write_ledger"], "ledger"),
+    **dict.fromkeys(["anchored_subset_geomeans", "correlation_tables", "geometric_mean_ci",
+                     "share_by_field", "share_row", "spearman", "top_share_articles"],
+                    "metrics"),
+    "CanonicalSection": "sections",
+    **dict.fromkeys(["CorpusSpec", "generate_corpus", "write_classification"], "synth"),
+}
+
+# Names of seccite.cli that callers replace before running a command.
+PATCHED_CLI_NAMES = {
+    "_CHUNK_FILES": None,
+    "parse_article": "seccite.jats",
+    "load_name_table": "seccite.sections",
+    "load_classification": "seccite.fields",
+    "generate_corpus": "seccite.synth",
+    **dict.fromkeys(["outer_section_labels", "read_ledger", "write_ledger"],
+                    "seccite.ledger"),
+    **dict.fromkeys(["share_by_field", "anchored_subset_geomeans", "correlation_tables",
+                     "top_share_articles"], "seccite.metrics"),
+}
+
+
+def test_lazy_names_keep_the_public_api():
+    namespace: dict = {}
+    exec("from seccite import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(seccite.__all__)
+    assert set(seccite.__all__) == {"__version__", *PUBLIC_HOMES}
+    for name, home in PUBLIC_HOMES.items():
+        assert namespace[name] is getattr(importlib.import_module(f"seccite.{home}"), name)
+    for module in (seccite, cli):
+        with pytest.raises(AttributeError):
+            module.no_such_name  # noqa: B018
+
+    code = ("import seccite.cli as cli\n"
+            f"print({{name: getattr(getattr(cli, name), '__module__', None)"
+            f" for name in {sorted(PATCHED_CLI_NAMES)!r}}})")
+    assert fresh_interpreter(code).strip() == repr(dict(sorted(PATCHED_CLI_NAMES.items())))
