@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import _HOMES as _PUBLIC_HOMES, __version__
 
 WORKERS_ENV = "SECCITE_WORKERS"
 
@@ -25,55 +25,39 @@ class CliError(Exception):
     """Runtime failure reported on stderr with exit code 1."""
 
 
-# Library names the commands call -> the submodule that defines each. A name
-# becomes a global of this module only when a command needs it or it is read
-# from outside, so each command imports only the submodules it runs, and a
-# caller can still replace `cli.<name>` before a command runs.
+# Library names -> the submodule that defines each: the package's public names
+# and the others the commands call. A name becomes a global of this module only
+# when a command that runs its submodule starts or it is read from outside, so
+# a command imports only what it runs and callers can replace `cli.<name>`.
 _HOMES = {
-    "FieldMapError": "fields",
-    "load_classification": "fields",
+    **_PUBLIC_HOMES,
     "JatsError": "jats",
-    "is_research_article": "jats",
-    "parse_article": "jats",
-    "Ledger": "ledger",
     "ledger_files": "ledger",
-    "outer_section_labels": "ledger",
-    "read_ledger": "ledger",
-    "write_ledger": "ledger",
     "CORRELATION_AXES": "metrics",
     "SHARE_COLUMNS": "metrics",
-    "anchored_subset_geomeans": "metrics",
     "cited_dois": "metrics",
-    "correlation_tables": "metrics",
-    "share_by_field": "metrics",
-    "top_share_articles": "metrics",
     "SECTION_ORDER": "sections",
     "load_name_table": "sections",
-    "CorpusSpec": "synth",
     "DEFAULT_STRUCTURE_MIX": "synth",
-    "generate_corpus": "synth",
 }
 
-# The library names each command calls.
-_NEEDS = {
-    "ingest": ("JatsError", "Ledger", "is_research_article", "load_name_table",
-               "outer_section_labels", "parse_article", "write_ledger"),
-    "stats": ("CORRELATION_AXES", "SECTION_ORDER", "SHARE_COLUMNS",
-              "anchored_subset_geomeans", "cited_dois", "correlation_tables",
-              "ledger_files", "load_classification", "read_ledger", "share_by_field",
-              "top_share_articles"),
-    "synth": ("CorpusSpec", "DEFAULT_STRUCTURE_MIX", "generate_corpus", "write_ledger"),
+# The submodules whose names each command calls.
+_MODULES = {
+    "ingest": ("jats", "ledger", "sections"),
+    "stats": ("fields", "ledger", "metrics", "sections"),
+    "synth": ("ledger", "synth"),
     "report": (),
 }
 
 
-def _bind(names: tuple[str, ...]) -> None:
-    """Import each name from its submodule into this module's globals,
-    leaving alone a name that is already bound (or replaced by a caller)."""
+def _bind(command: str) -> None:
+    """Bind every library name from the command's submodules into this
+    module's globals, leaving alone a name that is already bound (or
+    replaced by a caller)."""
     namespace = globals()
-    for name in names:
-        if name not in namespace:
-            module = importlib.import_module(f"{__package__}.{_HOMES[name]}")
+    for name, home in _HOMES.items():
+        if home in _MODULES[command] and name not in namespace:
+            module = importlib.import_module(f"{__package__}.{home}")
             namespace[name] = getattr(module, name)
 
 
@@ -81,19 +65,9 @@ def __getattr__(name: str):
     """Bind a library name the first time it is read from outside."""
     if name not in _HOMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind((name,))
-    return globals()[name]
-
-
-def _runtime_errors() -> tuple[type[Exception], ...]:
-    """Exception types that `main` reports with exit code 1. A seccite error
-    type counts once its submodule is loaded; it cannot be raised before."""
-    errors = [CliError, ValueError, OSError]
-    for name in ("JatsError", "FieldMapError"):
-        module = sys.modules.get(f"{__package__}.{_HOMES[name]}")
-        if module is not None:
-            errors.append(getattr(module, name))
-    return tuple(errors)
+    module = importlib.import_module(f"{__package__}.{_HOMES[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -162,10 +136,10 @@ def main(argv: list[str] | None = None) -> int:
         "synth": cmd_synth,
         "report": cmd_report,
     }
-    _bind(_NEEDS[args.command])
+    _bind(args.command)
     try:
         return handlers[args.command](args)
-    except _runtime_errors() as exc:  # evaluated only once an exception is raised
+    except (CliError, ValueError, OSError) as exc:
         print(f"seccite: error: {exc}", file=sys.stderr)
         return 1
 
@@ -197,9 +171,12 @@ def _resolve(args: argparse.Namespace, config: dict[str, str], key: str,
     flag_value = getattr(args, key, None)
     if flag_value is not None:
         return flag_value
-    if key in config:
+    if key not in config:
+        return default
+    try:
         return convert(config[key])
-    return default
+    except ValueError as exc:
+        raise CliError(f"{args.config}: {key}={config[key]}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +201,7 @@ def _ingest_chunk(paths: list[str], overrides: str | None):
     order. A file that failed has counts None and its one MALFORMED reason
     as its issues; it added nothing to the Ledger.
     """
-    _bind(_NEEDS["ingest"])  # a spawned or forkserver worker never ran main()
+    _bind("ingest")  # a spawned or forkserver worker never ran main()
     ledger = Ledger()
     return ledger, [_ingest_one(path_text, overrides, ledger) for path_text in paths]
 
@@ -270,10 +247,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     corpus_dir = _resolve(args, config, "corpus_dir", None, Path)
     output_dir = _resolve(args, config, "output_dir", None, Path)
-    env_workers = os.environ.get(WORKERS_ENV)
-    workers = _resolve(
-        args, config, "workers", int(env_workers) if env_workers else 1, int
-    )
+    workers = _resolve(args, config, "workers", None, int)
+    if workers is None:
+        env_workers = os.environ.get(WORKERS_ENV) or "1"
+        try:
+            workers = int(env_workers)
+        except ValueError:
+            raise CliError(f"{WORKERS_ENV}={env_workers}: not an integer") from None
     overrides = _resolve(args, config, "section_overrides", None, Path)
     if corpus_dir is None or output_dir is None:
         raise CliError("ingest requires --corpus-dir and --output-dir")
@@ -470,7 +450,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     classification = _resolve(args, config, "classification", None, Path)
     extension = _resolve(args, config, "extension", None, Path)
     year = _resolve(args, config, "year", 2012, int)
-    min_total = Fraction(_resolve(args, config, "min_total", "100", str))
+    min_total = Fraction(_resolve(args, config, "min_total", "100", Fraction))
     output_dir = _resolve(args, config, "output_dir", None, Path)
     if ledger_dir is None or output_dir is None:
         raise CliError("stats requires --ledger-dir and --output-dir")

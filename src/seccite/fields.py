@@ -40,7 +40,7 @@ FIELD_NAMES: tuple[str, ...] = (
 )
 
 
-class FieldMapError(Exception):
+class FieldMapError(ValueError):
     """Classification file could not be loaded."""
 
 

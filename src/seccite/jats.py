@@ -20,7 +20,7 @@ from typing import Any, Container, Mapping, Sequence
 from xml.parsers import expat
 
 
-class JatsError(Exception):
+class JatsError(ValueError):
     """Base class for article ingestion failures."""
 
 

@@ -291,6 +291,16 @@ def _format_year(year: int | None) -> str:
     return "" if year is None else str(year)
 
 
+def _check_keys(ledger: Ledger) -> None:
+    """Raise ValueError for a DOI that would not read back: one missing from
+    vectors or from cohort_index while another of the per-DOI maps holds it."""
+    for has, lacks in (("cohort_index", "vectors"), ("cited_journals", "vectors"),
+                       ("cited_years", "vectors"), ("vectors", "cohort_index")):
+        stray = getattr(ledger, has).keys() - getattr(ledger, lacks).keys()
+        if stray:
+            raise ValueError(f"cannot write DOI {min(stray)!r}: it is in {has} but not {lacks}")
+
+
 def _check_cells(ledger: Ledger) -> None:
     """Raise ValueError for any text a TSV cell would not carry back unchanged."""
     issns = [issn for issns in ledger.source_issns.values() for issn in issns]
@@ -325,10 +335,12 @@ def ledger_files(directory: str | Path) -> list[Path]:
 def write_ledger(ledger: Ledger, directory: str | Path) -> list[Path]:
     """Write the ledger and its sidecars as TSV files; returns written paths.
 
-    Raises ValueError, before writing anything, for text that would not read
-    back unchanged: a tab or newline in any cell, or an ISSN that is empty or
-    holds ';'.
+    Raises ValueError, before writing anything, for a ledger that would not
+    read back unchanged: cohort_index keys other than the vectors keys, a
+    cited_journals or cited_years DOI not in vectors, a tab or newline in
+    any cell, or an ISSN that is empty or holds ';'.
     """
+    _check_keys(ledger)
     _check_cells(ledger)
     Path(directory).mkdir(parents=True, exist_ok=True)
     paths = ledger_files(directory)
@@ -477,9 +489,10 @@ def read_ledger(directory: str | Path) -> Ledger:
     Raises ValueError naming the file and line for a header other than the
     one write_ledger writes, a row with another number of cells, a weight
     cell that is not "n/d" with integers n and d > 0, a count or year that
-    is not an integer, or a DOI, journal or cited-journal title that
-    repeats an earlier row of its file. Equal weights, cohort
-    pairs, journal titles, years and DOIs come back as one shared object.
+    is not an integer, a DOI, journal or cited-journal title that repeats
+    an earlier row of its file, or a cohort or meta DOI with no row in
+    ledger.tsv. Equal weights, cohort pairs, journal titles, years and DOIs
+    come back as one shared object.
     """
     main, cohort, meta, sources, targets = ledger_files(directory)
     ledger = Ledger()
@@ -495,7 +508,7 @@ def read_ledger(directory: str | Path) -> Ledger:
     for line, (doi, journal, year) in _read_rows(cohort, _COHORT_HEADER):
         doi_cohort = ledger.cohort_index.get(doi)
         if doi_cohort is None:
-            doi_cohort = ledger.cohort_index[values.text(doi)] = set()
+            raise ValueError(f"{cohort}, line {line}: DOI {doi!r} has no row in {main.name}")
         doi_cohort.add(values.pair(journal, year, cohort, line))
 
     for line, (doi, kind, value, count) in _read_rows(meta, _META_HEADER):
@@ -507,6 +520,8 @@ def read_ledger(directory: str | Path) -> Ledger:
             raise ValueError(f"{meta}, line {line}: unknown meta kind {kind!r}")
         counter = counters.get(doi)
         if counter is None:
+            if doi not in ledger.vectors:
+                raise ValueError(f"{meta}, line {line}: DOI {doi!r} has no row in {main.name}")
             counter = counters[values.text(doi)] = Counter()
         counter[key] = counter.get(key, 0) + _parse_int(count, "count", meta, line)
 

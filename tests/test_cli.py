@@ -25,6 +25,7 @@ from seccite import (
     write_ledger,
 )
 from seccite.cli import main
+from seccite.jats import ArticleStructureError
 from seccite.metrics import CitedDois
 
 from conftest import make_article
@@ -347,6 +348,18 @@ class TestStatsCommand:
                    "--output-dir", str(tmp_path / "out")) == 1
         assert "seccite: error:" in capsys.readouterr().err
 
+    def test_parse_error_raised_inside_a_command_is_runtime_error(
+        self, ingested, classification_file, tmp_path, capsys, monkeypatch
+    ):
+        def read_ledger(directory):
+            raise ArticleStructureError(str(directory), "not a ledger")
+
+        monkeypatch.setattr(cli, "read_ledger", read_ledger)
+        assert run("stats", "--ledger-dir", str(ingested),
+                   "--classification", str(classification_file),
+                   "--output-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.startswith("seccite: error:")
+
     def test_single_doi_ledger_degenerates_gracefully(
         self, tmp_path, classification_file
     ):
@@ -504,6 +517,12 @@ class TestWorkerEnvVar:
                    "--output-dir", str(tmp_path / "o")) == 1
         assert "--workers" in capsys.readouterr().err
 
+    def test_bad_env_value_names_the_variable(self, corpus, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SECCITE_WORKERS", "abc")
+        assert run("ingest", "--corpus-dir", str(corpus),
+                   "--output-dir", str(tmp_path / "o")) == 1
+        assert "SECCITE_WORKERS=abc" in capsys.readouterr().err
+
     def test_env_value_used_when_flag_absent(self, corpus, tmp_path, monkeypatch):
         monkeypatch.setenv("SECCITE_WORKERS", "2")
         out = tmp_path / "env2"
@@ -536,6 +555,17 @@ class TestConfigFile:
         assert run("stats", "--config", str(config),
                    "--output-dir", str(tmp_path)) == 1
         assert "key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["year=abc", "min_total=lots"])
+    def test_bad_config_value_names_key_and_file(
+        self, ingested, classification_file, tmp_path, capsys, line
+    ):
+        config = tmp_path / "run.conf"
+        config.write_text(f"{line}\n", "utf-8")
+        assert run("stats", "--ledger-dir", str(ingested),
+                   "--classification", str(classification_file),
+                   "--output-dir", str(tmp_path / "o"), "--config", str(config)) == 1
+        assert f"seccite: error: {config}: {line}: " in capsys.readouterr().err
 
     def test_unparseable_numeric_value_is_runtime_error(
         self, ingested, classification_file, tmp_path, capsys

@@ -310,9 +310,14 @@ class TestRoundTrip:
             lambda led: led.cohort_index["10.1/x"].add(("Line\nJournal", 2019)),
             lambda led: led.vectors.update({"10.1/\ty": {M: Fraction(1)}}),
             lambda led: led.target_other.update({"Line\n": Fraction(1)}),
+            lambda led: led.cohort_index.pop("10.1/x"),
+            lambda led: led.cohort_index.update({"10.1/y": {("J", 2019)}}),
+            lambda led: led.cited_journals.update({"10.1/y": Counter({"Cited": 1})}),
+            lambda led: led.cited_years.update({"10.1/y": Counter({2019: 1})}),
         ],
         ids=["issn-semicolon", "issn-empty", "meta-tab", "cohort-newline", "doi-tab",
-             "target-newline"],
+             "target-newline", "cohort-lacks-doi", "cohort-extra-doi", "meta-journal-doi",
+             "meta-year-doi"],
     )
     def test_write_rejects_cells_that_cannot_round_trip(self, tmp_path, spoil):
         ledger = Ledger()
@@ -394,6 +399,20 @@ class TestRoundTrip:
         message = re.escape(f"ledger{part}.tsv, line 4: {what} {key!r} repeats an earlier row")
         with pytest.raises(ValueError, match=message):
             read_ledger(tmp_path)
+
+    @pytest.mark.parametrize("part", [".cohort", ".meta"])
+    def test_read_rejects_a_sidecar_of_another_ledger(self, tmp_path, part):
+        _write_full_ledger(tmp_path / "mine")
+        write_ledger(random_ledger(random.Random(6), dois=6), tmp_path / "theirs")
+        name = f"ledger{part}.tsv"
+        text = (tmp_path / "theirs" / name).read_text("utf-8")
+        (tmp_path / "mine" / name).write_text(text, "utf-8")
+        # The DOIs run rand000, rand001, ...: "mine" has the first four.
+        line = next(number for number, row in enumerate(text.split("\n"), 1)
+                    if row.startswith("10.5000/rand004\t"))
+        message = f"{name}, line {line}: DOI '10.5000/rand004' has no row in ledger.tsv"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_ledger(tmp_path / "mine")
 
     def test_cut_main_row_does_not_load(self, tmp_path):
         ledger = Ledger()
