@@ -168,15 +168,25 @@ def _load_config(path: Path | None) -> dict[str, str]:
 
 def _resolve(args: argparse.Namespace, config: dict[str, str], key: str,
              default, convert=str):
+    """The flag's value, else the config file's, else `default`, through
+    `convert`; a value it rejects fails naming the flag or the file and key."""
     flag_value = getattr(args, key, None)
     if flag_value is not None:
-        return flag_value
+        return _convert(flag_value, convert, f"--{key.replace('_', '-')} ")
     if key not in config:
         return default
+    return _convert(config[key], convert, f"{args.config}: {key}=")
+
+
+def _convert(value, convert, source: str):
+    """convert(value), or CliError "<source><value>: <reason>" if it fails."""
     try:
-        return convert(config[key])
-    except ValueError as exc:
-        raise CliError(f"{args.config}: {key}={config[key]}: {exc}") from None
+        return convert(value)
+    except ZeroDivisionError:
+        reason = "zero denominator"
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        reason = str(exc)
+    raise CliError(f"{source}{value}: {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +257,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     corpus_dir = _resolve(args, config, "corpus_dir", None, Path)
     output_dir = _resolve(args, config, "output_dir", None, Path)
-    workers = _resolve(args, config, "workers", None, int)
+    workers = _resolve(args, config, "workers", None, _positive_int)
     if workers is None:
-        env_workers = os.environ.get(WORKERS_ENV) or "1"
-        try:
-            workers = int(env_workers)
-        except ValueError:
-            raise CliError(f"{WORKERS_ENV}={env_workers}: not an integer") from None
+        workers = _convert(os.environ.get(WORKERS_ENV) or "1", _positive_int, f"{WORKERS_ENV}=")
     overrides = _resolve(args, config, "section_overrides", None, Path)
     if corpus_dir is None or output_dir is None:
         raise CliError("ingest requires --corpus-dir and --output-dir")
-    if workers < 1:
-        raise CliError("--workers must be >= 1")
     if not Path(corpus_dir).is_dir():
         raise CliError(f"corpus directory not found (--corpus-dir): {corpus_dir}")
 
@@ -450,7 +454,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     classification = _resolve(args, config, "classification", None, Path)
     extension = _resolve(args, config, "extension", None, Path)
     year = _resolve(args, config, "year", 2012, int)
-    min_total = Fraction(_resolve(args, config, "min_total", "100", Fraction))
+    min_total = _resolve(args, config, "min_total", Fraction(100), Fraction)
     output_dir = _resolve(args, config, "output_dir", None, Path)
     if ledger_dir is None or output_dir is None:
         raise CliError("stats requires --ledger-dir and --output-dir")

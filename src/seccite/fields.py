@@ -70,7 +70,6 @@ def normalize_issn(raw: str) -> str:
 class FieldMap:
     by_title: Mapping[str, str]
     by_issn: Mapping[str, str]
-    field_names: tuple[str, ...] = FIELD_NAMES
 
 
 def _sniff_delimiter(header: str) -> str:

@@ -14,10 +14,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import lcm
 from pathlib import Path
-from typing import TYPE_CHECKING, Container, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator, Mapping
 
 from .sections import SECTION_ORDER, CanonicalSection, SectionLabel, normalize_section
 
@@ -275,20 +274,9 @@ def modal_cited_journal(ledger: Ledger, doi: str) -> str:
 
 LEDGER_COLUMNS = [s.column for s in SECTION_ORDER]
 
-# The header row of each file; read_ledger accepts no other.
-_MAIN_HEADER = ["doi", *LEDGER_COLUMNS, "total"]
-_COHORT_HEADER = ["doi", "citing_journal", "citing_year"]
-_META_HEADER = ["doi", "kind", "value", "count"]
-_SOURCES_HEADER = ["journal", "issns", *LEDGER_COLUMNS, OTHER_COLUMN]
-_TARGETS_HEADER = ["cited_journal", OTHER_COLUMN]
-
 
 def _format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
-
-
-def _format_year(year: int | None) -> str:
-    return "" if year is None else str(year)
 
 
 def _check_keys(ledger: Ledger) -> None:
@@ -301,90 +289,92 @@ def _check_keys(ledger: Ledger) -> None:
             raise ValueError(f"cannot write DOI {min(stray)!r}: it is in {has} but not {lacks}")
 
 
-def _check_cells(ledger: Ledger) -> None:
-    """Raise ValueError for any text a TSV cell would not carry back unchanged."""
-    issns = [issn for issns in ledger.source_issns.values() for issn in issns]
-    for issn in issns:
-        if not issn or ";" in issn:
-            raise ValueError(f"cannot write ISSN {issn!r}: ledger ISSNs are joined by ';'")
-    texts = chain(
-        ledger.vectors,
-        ledger.cohort_index,
-        (journal for cohort in ledger.cohort_index.values() for journal, _ in cohort),
-        ledger.cited_journals,
-        (title for journals in ledger.cited_journals.values() for title in journals),
-        ledger.cited_years,
-        ledger.source_sections,
-        ledger.source_other,
-        ledger.source_issns,
-        issns,
-        ledger.target_other,
-    )
-    for text in texts:
-        if "\t" in text or "\n" in text:
-            raise ValueError(f"cannot write {text!r} to a ledger: it holds a tab or newline")
+def _main_rows(ledger: Ledger) -> Iterator[list[str]]:
+    for doi in sorted(ledger.vectors):
+        counts = ledger.vectors[doi]
+        yield [doi, *(_format_fraction(counts.get(s, Fraction(0))) for s in SECTION_ORDER),
+               _format_fraction(ledger.total(doi))]
+
+
+def _cohort_rows(ledger: Ledger) -> Iterator[list[str]]:
+    for doi in sorted(ledger.cohort_index):
+        pairs = ledger.cohort_index[doi]
+        for journal, year in sorted(pairs, key=lambda p: (p[0], p[1] is None, p[1] or 0)):
+            yield [doi, journal, "" if year is None else str(year)]
+
+
+def _meta_rows(ledger: Ledger) -> Iterator[list[str]]:
+    for doi in sorted(set(ledger.cited_journals) | set(ledger.cited_years)):
+        for title, count in sorted(ledger.cited_journals.get(doi, {}).items()):
+            yield [doi, "journal", title, str(count)]
+        for year, count in sorted(ledger.cited_years.get(doi, {}).items()):
+            yield [doi, "year", str(year), str(count)]
+
+
+def _sources_rows(ledger: Ledger) -> Iterator[list[str]]:
+    """Raises ValueError for an ISSN that is empty or holds ';', the cell's separator."""
+    for journal in sorted(set(ledger.source_sections) | set(ledger.source_other)):
+        issns = sorted(ledger.source_issns.get(journal, set()))
+        for issn in issns:
+            if not issn or ";" in issn:
+                raise ValueError(f"cannot write ISSN {issn!r}: ledger ISSNs are joined by ';'")
+        counts = ledger.source_sections.get(journal, {})
+        yield [journal, ";".join(issns),
+               *(_format_fraction(counts.get(s, Fraction(0))) for s in SECTION_ORDER),
+               _format_fraction(ledger.source_other.get(journal, Fraction(0)))]
+
+
+def _targets_rows(ledger: Ledger) -> Iterator[list[str]]:
+    for title in sorted(ledger.target_other):
+        yield [title, _format_fraction(ledger.target_other[title])]
+
+
+# The files of a ledger, in write order: name part -> (header row, rows). The
+# header is the only one read_ledger accepts; each row is a list of cells.
+_FILES: dict[str, tuple[list[str], Callable[[Ledger], Iterable[list[str]]]]] = {
+    "": (["doi", *LEDGER_COLUMNS, "total"], _main_rows),
+    ".cohort": (["doi", "citing_journal", "citing_year"], _cohort_rows),
+    ".meta": (["doi", "kind", "value", "count"], _meta_rows),
+    ".sources": (["journal", "issns", *LEDGER_COLUMNS, OTHER_COLUMN], _sources_rows),
+    ".targets": (["cited_journal", OTHER_COLUMN], _targets_rows),
+}
 
 
 def ledger_files(directory: str | Path) -> list[Path]:
     """The main TSV and its four sidecars (cohort, meta, sources, targets)."""
-    directory = Path(directory)
-    return [directory / f"ledger{part}.tsv"
-            for part in ("", ".cohort", ".meta", ".sources", ".targets")]
+    return [Path(directory) / f"ledger{part}.tsv" for part in _FILES]
 
 
 def write_ledger(ledger: Ledger, directory: str | Path) -> list[Path]:
     """Write the ledger and its sidecars as TSV files; returns written paths.
 
-    Raises ValueError, before writing anything, for a ledger that would not
+    Each file is written as ledger<part>.tsv.tmp and all five are renamed into
+    place at the end, so a failed write leaves no temporary file and any
+    earlier ledger as it was. Raises ValueError for a ledger that would not
     read back unchanged: cohort_index keys other than the vectors keys, a
-    cited_journals or cited_years DOI not in vectors, a tab or newline in
-    any cell, or an ISSN that is empty or holds ';'.
+    cited_journals or cited_years DOI not in vectors, a tab or newline in any
+    cell (a tab inside a cell adds one to its row's count), or an ISSN that is
+    empty or holds ';'.
     """
     _check_keys(ledger)
-    _check_cells(ledger)
     Path(directory).mkdir(parents=True, exist_ok=True)
     paths = ledger_files(directory)
-    main, cohort, meta, sources, targets = paths
-
-    with main.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\t".join(_MAIN_HEADER) + "\n")
-        for doi in sorted(ledger.vectors):
-            counts = ledger.vectors[doi]
-            cells = [_format_fraction(counts.get(s, Fraction(0))) for s in SECTION_ORDER]
-            cells.append(_format_fraction(ledger.total(doi)))
-            handle.write(doi + "\t" + "\t".join(cells) + "\n")
-
-    with cohort.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\t".join(_COHORT_HEADER) + "\n")
-        for doi in sorted(ledger.cohort_index):
-            rows = sorted(
-                ledger.cohort_index[doi],
-                key=lambda item: (item[0], item[1] is None, item[1] or 0),
-            )
-            for journal, year in rows:
-                handle.write(f"{doi}\t{journal}\t{_format_year(year)}\n")
-
-    with meta.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\t".join(_META_HEADER) + "\n")
-        for doi in sorted(set(ledger.cited_journals) | set(ledger.cited_years)):
-            for title, count in sorted(ledger.cited_journals.get(doi, {}).items()):
-                handle.write(f"{doi}\tjournal\t{title}\t{count}\n")
-            for year, count in sorted(ledger.cited_years.get(doi, {}).items()):
-                handle.write(f"{doi}\tyear\t{year}\t{count}\n")
-
-    with sources.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\t".join(_SOURCES_HEADER) + "\n")
-        for journal in sorted(set(ledger.source_sections) | set(ledger.source_other)):
-            counts = ledger.source_sections.get(journal, {})
-            issns = ";".join(sorted(ledger.source_issns.get(journal, set())))
-            cells = [_format_fraction(counts.get(s, Fraction(0))) for s in SECTION_ORDER]
-            cells.append(_format_fraction(ledger.source_other.get(journal, Fraction(0))))
-            handle.write(journal + "\t" + issns + "\t" + "\t".join(cells) + "\n")
-
-    with targets.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\t".join(_TARGETS_HEADER) + "\n")
-        for title in sorted(ledger.target_other):
-            handle.write(f"{title}\t{_format_fraction(ledger.target_other[title])}\n")
+    temps = [path.with_name(path.name + ".tmp") for path in paths]
+    try:
+        for temp, (header, rows) in zip(temps, _FILES.values()):
+            with temp.open("w", encoding="utf-8", newline="\n") as handle:
+                handle.write("\t".join(header) + "\n")
+                for cells in rows(ledger):
+                    line = "\t".join(cells)
+                    if line.count("\t") != len(header) - 1 or "\n" in line:
+                        raise ValueError(f"{temp.stem}: a cell of {line!r} holds a tab or newline")
+                    handle.write(line + "\n")
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+    for temp, path in zip(temps, paths):
+        temp.replace(path)
     return paths
 
 
@@ -500,18 +490,18 @@ def read_ledger(directory: str | Path) -> Ledger:
 
     if not main.exists():
         raise FileNotFoundError(f"ledger file not found: {main}")
-    for line, (doi, *cells) in _read_rows(main, _MAIN_HEADER):
+    for line, (doi, *cells) in _read_rows(main, _FILES[""][0]):
         doi = values.text(_first(doi, ledger.vectors, "DOI", main, line))
         ledger.vectors[doi] = values.section_weights(cells, main, line)
         ledger.cohort_index[doi] = set()
 
-    for line, (doi, journal, year) in _read_rows(cohort, _COHORT_HEADER):
+    for line, (doi, journal, year) in _read_rows(cohort, _FILES[".cohort"][0]):
         doi_cohort = ledger.cohort_index.get(doi)
         if doi_cohort is None:
             raise ValueError(f"{cohort}, line {line}: DOI {doi!r} has no row in {main.name}")
         doi_cohort.add(values.pair(journal, year, cohort, line))
 
-    for line, (doi, kind, value, count) in _read_rows(meta, _META_HEADER):
+    for line, (doi, kind, value, count) in _read_rows(meta, _FILES[".meta"][0]):
         if kind == "journal":
             counters, key = ledger.cited_journals, values.text(value)
         elif kind == "year":
@@ -525,7 +515,7 @@ def read_ledger(directory: str | Path) -> Ledger:
             counter = counters[values.text(doi)] = Counter()
         counter[key] = counter.get(key, 0) + _parse_int(count, "count", meta, line)
 
-    for line, (journal, issns, *cells) in _read_rows(sources, _SOURCES_HEADER):
+    for line, (journal, issns, *cells) in _read_rows(sources, _FILES[".sources"][0]):
         journal = values.text(_first(journal, ledger.source_issns, "journal", sources, line))
         counts = values.section_weights(cells, sources, line)
         if counts:
@@ -535,7 +525,7 @@ def read_ledger(directory: str | Path) -> Ledger:
             ledger.source_other[journal] = other
         ledger.source_issns[journal] = set(issns.split(";")) if issns else set()
 
-    for line, (title, weight) in _read_rows(targets, _TARGETS_HEADER):
+    for line, (title, weight) in _read_rows(targets, _FILES[".targets"][0]):
         title = values.text(_first(title, ledger.target_other, "cited journal", targets, line))
         ledger.target_other[title] = values.weight(weight, targets, line)
 

@@ -515,7 +515,7 @@ class TestWorkerEnvVar:
         monkeypatch.setenv("SECCITE_WORKERS", "0")
         assert run("ingest", "--corpus-dir", str(corpus),
                    "--output-dir", str(tmp_path / "o")) == 1
-        assert "--workers" in capsys.readouterr().err
+        assert "SECCITE_WORKERS=0: must be >= 1" in capsys.readouterr().err
 
     def test_bad_env_value_names_the_variable(self, corpus, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SECCITE_WORKERS", "abc")
@@ -556,7 +556,7 @@ class TestConfigFile:
                    "--output-dir", str(tmp_path)) == 1
         assert "key=value" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["year=abc", "min_total=lots"])
+    @pytest.mark.parametrize("line", ["year=abc", "min_total=lots", "min_total=1/0"])
     def test_bad_config_value_names_key_and_file(
         self, ingested, classification_file, tmp_path, capsys, line
     ):
@@ -575,6 +575,25 @@ class TestConfigFile:
                    "--output-dir", str(tmp_path / "o"),
                    "--min-total", "lots") == 1
         assert "error" in capsys.readouterr().err
+
+    def test_zero_denominator_flag_names_the_flag(
+        self, ingested, classification_file, tmp_path, capsys
+    ):
+        assert run("stats", "--ledger-dir", str(ingested),
+                   "--classification", str(classification_file),
+                   "--output-dir", str(tmp_path / "o"), "--min-total", "1/0") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("seccite: error: --min-total 1/0: zero denominator")
+        assert "Traceback" not in err
+
+    def test_config_worker_count_below_one_names_key_and_file(self, corpus, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("workers=0\n", "utf-8")
+        assert run("ingest", "--corpus-dir", str(corpus), "--output-dir", str(tmp_path / "o"),
+                   "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert f"seccite: error: {config}: workers=0: must be >= 1" in err
+        assert "--workers" not in err
 
 
 def test_version_flag(capsys):

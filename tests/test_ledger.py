@@ -268,6 +268,17 @@ def _write_full_ledger(directory):
     write_ledger(ledger, directory)
 
 
+def _fail_after_one_row(monkeypatch, part):
+    """Make write_ledger raise OSError after the first row of ledger<part>.tsv."""
+    header, rows = ledger_module._FILES[part]
+
+    def failing(ledger):
+        yield next(iter(rows(ledger)))
+        raise OSError("disk full")
+
+    monkeypatch.setitem(ledger_module._FILES, part, (header, failing))
+
+
 class TestRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         ledger = random_ledger(random.Random(21), dois=20, journals=4)
@@ -330,6 +341,29 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             write_ledger(ledger, tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "spoil, error",
+        [
+            (lambda led, _: (led.vectors.update({"10.1/\tx": {M: Fraction(1)}}),
+                             led.cohort_index.update({"10.1/\tx": {("J", 2019)}})), ValueError),
+            (lambda led, _: led.cited_journals["10.5000/rand000"].update({"Tab\tJournal": 1}),
+             ValueError),
+            (lambda led, _: led.target_other.update({"Line\nJournal": Fraction(1)}), ValueError),
+            (lambda _, patch: _fail_after_one_row(patch, ".sources"), OSError),
+        ],
+        ids=["doi-tab", "meta-tab", "target-newline", "oserror-mid-file"],
+    )
+    def test_rejected_write_keeps_the_previous_ledger(self, tmp_path, monkeypatch, spoil, error):
+        _write_full_ledger(tmp_path)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert len(before) == 5
+        ledger = random_ledger(random.Random(6), dois=6)
+        spoil(ledger, monkeypatch)
+        with pytest.raises(error):
+            write_ledger(ledger, tmp_path)
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("cell", ["1.5", "x/2", "1/0", "1/-3", "2", ""])
     @pytest.mark.parametrize("part, column", [("", 1), (".sources", -1), (".targets", 1)])
