@@ -36,7 +36,6 @@ _HOMES = {
     "CORRELATION_AXES": "metrics",
     "SHARE_COLUMNS": "metrics",
     "cited_dois": "metrics",
-    "SECTION_ORDER": "sections",
     "load_name_table": "sections",
     "DEFAULT_STRUCTURE_MIX": "synth",
 }
@@ -358,54 +357,8 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(value)
 
 
-def _share_table_json(table) -> dict:
-    return {
-        "columns": list(SHARE_COLUMNS),
-        "rows": {
-            field: {
-                "shares": [float(s) for s in row.shares],
-                "weight": f"{row.weight.numerator}/{row.weight.denominator}",
-            }
-            for field, row in sorted(table.rows.items())
-        },
-    }
-
-
-def _anchored_json(table) -> dict:
-    return {
-        "anchor": table.anchor.column,
-        "rows": {
-            field: {
-                section.column: {
-                    "n": result.n,
-                    "mean": result.mean,
-                    "ci_lo": result.ci_lo,
-                    "ci_hi": result.ci_hi,
-                }
-                for section, result in row.items()
-            }
-            for field, row in sorted(table.rows.items())
-        },
-        "notes": list(table.notes),
-    }
-
-
-def _correlations_json(report) -> dict:
-    return {
-        "axes": list(CORRELATION_AXES),
-        "year": report.year,
-        "per_field": [
-            {
-                "field": matrix.field,
-                "n": matrix.n,
-                "values": [list(row) for row in matrix.values],
-            }
-            for matrix in report.per_field
-        ],
-        "median": [list(row) for row in report.median],
-        "positive_share": [list(row) for row in report.positive_share],
-        "notes": list(report.notes),
-    }
+def _ratio(fraction) -> str:
+    return f"{fraction.numerator}/{fraction.denominator}"
 
 
 def _write_tsv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -415,34 +368,41 @@ def _write_tsv(path: Path, header: list[str], rows: list[list[str]]) -> None:
             handle.write("\t".join(row) + "\n")
 
 
-def _write_share_tsv(path: Path, table) -> None:
-    rows = [
-        [field, *(_fmt(s) for s in row.shares),
-         f"{row.weight.numerator}/{row.weight.denominator}"]
-        for field, row in sorted(table.rows.items())
-    ]
-    _write_tsv(path, ["field", *SHARE_COLUMNS, "weight"], rows)
+def _stats_files(bundle: dict):
+    """(file name, header, rows) for each of the 12 stats TSVs, from the bundle
+    alone. Section and axis order come from the correlation axes, not from dict
+    key order, so the bundle and `json.loads(report.json)` give the same bytes."""
+    correlations = bundle["correlations"]
+    axes = correlations["axes"]
+    sections = axes[:-1]  # the last axis is "all"
+    for perspective in ("source", "target"):
+        table = bundle["share"][f"{perspective}-field"]
+        yield (f"share_{perspective}.tsv", ["field", *table["columns"], "weight"],
+               [[field, *map(_fmt, row["shares"]), row["weight"]]
+                for field, row in sorted(table["rows"].items())])
+    for anchor in sections:
+        yield (f"anchored_{anchor}.tsv",
+               ["field", "n", *(f"{s}_{part}" for s in sections for part in ("mean", "lo", "hi"))],
+               [[field, str(row[sections[0]]["n"]),
+                 *(_fmt(row[s][key]) for s in sections for key in ("mean", "ci_lo", "ci_hi"))]
+                for field, row in sorted(bundle["anchored"][anchor]["rows"].items())])
+    yield ("corr_fields.tsv", ["field", "n", "axis", *axes],
+           [[matrix["field"], str(matrix["n"]), axis, *map(_fmt, row)]
+            for matrix in correlations["per_field"]
+            for axis, row in zip(axes, matrix["values"])])
+    for name, key in (("corr_median.tsv", "median"), ("corr_positive.tsv", "positive_share")):
+        yield (name, ["axis", *axes],
+               [[axis, *map(_fmt, row)] for axis, row in zip(axes, correlations[key])])
+    yield ("top_share.tsv", ["section", "doi", "share", "total"],
+           [[entry["section"], entry["doi"], _fmt(entry["share"]), entry["total"]]
+            for entry in bundle["top_share"]])
 
 
-def _write_anchored_tsv(path: Path, table) -> None:
-    header = ["field", "n"]
-    for section in SECTION_ORDER:
-        header += [f"{section.column}_mean", f"{section.column}_lo", f"{section.column}_hi"]
-    rows = []
-    for field, row in sorted(table.rows.items()):
-        n = row[SECTION_ORDER[0]].n
-        cells = [field, str(n)]
-        for section in SECTION_ORDER:
-            result = row[section]
-            cells += [_fmt(result.mean), _fmt(result.ci_lo), _fmt(result.ci_hi)]
-        rows.append(cells)
-    _write_tsv(path, header, rows)
-
-
-def _write_matrix_tsv(path: Path, matrix) -> None:
-    header = ["axis", *CORRELATION_AXES]
-    rows = [[axis, *(_fmt(v) for v in row)] for axis, row in zip(CORRELATION_AXES, matrix)]
-    _write_tsv(path, header, rows)
+def _notes(bundle: dict) -> list[str]:
+    """The correlation notes, then each anchored table's, in the bundle's order."""
+    return [*bundle["correlations"].get("notes", []),
+            *(note for table in bundle.get("anchored", {}).values()
+              for note in table.get("notes", []))]
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -491,26 +451,52 @@ def cmd_stats(args: argparse.Namespace) -> int:
         json.dumps(config_used, sort_keys=True).encode("utf-8")
     ).hexdigest()
 
+    # Rows keep the order the tables computed: report.json sorts its keys and
+    # _stats_files sorts the rows it writes.
     bundle = {
-        "provenance": {
-            "tool": "seccite",
-            "version": __version__,
-            "config": config_used,
-            "config_hash": config_hash,
-        },
+        "provenance": {"tool": "seccite", "version": __version__,
+                       "config": config_used, "config_hash": config_hash},
         "share": {
-            "source-field": _share_table_json(share_source),
-            "target-field": _share_table_json(share_target),
-        },
-        "anchored": {s.column: _anchored_json(anchored[s]) for s in SECTION_ORDER},
-        "correlations": _correlations_json(correlations),
-        "top_share": [
-            {
-                "doi": entry.cited_doi,
-                "section": entry.section.column,
-                "share": entry.share,
-                "total": f"{entry.total.numerator}/{entry.total.denominator}",
+            perspective: {
+                "columns": list(SHARE_COLUMNS),
+                "rows": {
+                    field: {"shares": [float(s) for s in row.shares], "weight": _ratio(row.weight)}
+                    for field, row in table.rows.items()
+                },
             }
+            for perspective, table in (("source-field", share_source),
+                                       ("target-field", share_target))
+        },
+        "anchored": {
+            anchor.column: {
+                "anchor": anchor.column,
+                "rows": {
+                    field: {
+                        section.column: {"n": result.n, "mean": result.mean,
+                                         "ci_lo": result.ci_lo, "ci_hi": result.ci_hi}
+                        for section, result in row.items()
+                    }
+                    for field, row in table.rows.items()
+                },
+                "notes": list(table.notes),
+            }
+            for anchor, table in anchored.items()
+        },
+        "correlations": {
+            "axes": list(CORRELATION_AXES),
+            "year": correlations.year,
+            "per_field": [
+                {"field": matrix.field, "n": matrix.n,
+                 "values": [list(row) for row in matrix.values]}
+                for matrix in correlations.per_field
+            ],
+            "median": [list(row) for row in correlations.median],
+            "positive_share": [list(row) for row in correlations.positive_share],
+            "notes": list(correlations.notes),
+        },
+        "top_share": [
+            {"doi": entry.cited_doi, "section": entry.section.column,
+             "share": entry.share, "total": _ratio(entry.total)}
             for entry in top
         ],
     }
@@ -520,35 +506,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     (output_dir / "report.json").write_text(
         json.dumps(bundle, sort_keys=True, indent=2) + "\n", "utf-8"
     )
+    for name, header, rows in _stats_files(bundle):
+        _write_tsv(output_dir / name, header, rows)
 
-    _write_share_tsv(output_dir / "share_source.tsv", share_source)
-    _write_share_tsv(output_dir / "share_target.tsv", share_target)
-    for section in SECTION_ORDER:
-        _write_anchored_tsv(output_dir / f"anchored_{section.column}.tsv", anchored[section])
-    per_field_rows = []
-    for matrix in correlations.per_field:
-        for axis, row in zip(CORRELATION_AXES, matrix.values):
-            per_field_rows.append(
-                [matrix.field, str(matrix.n), axis, *(_fmt(v) for v in row)]
-            )
-    _write_tsv(
-        output_dir / "corr_fields.tsv",
-        ["field", "n", "axis", *CORRELATION_AXES],
-        per_field_rows,
-    )
-    _write_matrix_tsv(output_dir / "corr_median.tsv", correlations.median)
-    _write_matrix_tsv(output_dir / "corr_positive.tsv", correlations.positive_share)
-    _write_tsv(
-        output_dir / "top_share.tsv",
-        ["section", "doi", "share", "total"],
-        [
-            [e.section.column, e.cited_doi, _fmt(e.share),
-             f"{e.total.numerator}/{e.total.denominator}"]
-            for e in top
-        ],
-    )
-
-    for note in [*correlations.notes, *(n for s in SECTION_ORDER for n in anchored[s].notes)]:
+    for note in _notes(bundle):
         print(f"seccite: note: {note}", file=sys.stderr)
     print(f"seccite: wrote report bundle to {output_dir}", file=sys.stderr)
     return 0
@@ -639,10 +600,7 @@ def _render_matrix(title: str, axes: list[str], matrix: list[list[float | None]]
     return lines
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    if not args.input.exists():
-        raise CliError(f"report bundle not found (--input): {args.input}")
-    bundle = json.loads(args.input.read_text("utf-8"))
+def _render_report(bundle: dict) -> list[str]:
     out: list[str] = []
     provenance = bundle.get("provenance", {})
     out.append(f"seccite report (tool {provenance.get('version', '?')}, "
@@ -670,13 +628,23 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"  {entry['section']:<12} {entry['doi']:<40} "
             f"share {100.0 * entry['share']:5.1f}%  total {total_text}"
         )
-    notes = bundle["correlations"].get("notes", [])
-    for anchored in bundle.get("anchored", {}).values():
-        notes = [*notes, *anchored.get("notes", [])]
+    notes = _notes(bundle)
     if notes:
         out.append("")
         out.append("== Notes ==")
         out.extend(f"  {note}" for note in notes)
+    return out
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    if not args.input.exists():
+        raise CliError(f"report bundle not found (--input): {args.input}")
+    try:
+        out = _render_report(json.loads(args.input.read_text("utf-8")))
+    except KeyError as exc:
+        raise CliError(f"{args.input}: not a seccite report bundle (missing {exc})") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CliError(f"{args.input}: not a seccite report bundle ({exc})") from exc
     print("\n".join(out))
     return 0
 

@@ -281,12 +281,19 @@ def _format_fraction(value: Fraction) -> str:
 
 def _check_keys(ledger: Ledger) -> None:
     """Raise ValueError for a DOI that would not read back: one missing from
-    vectors or from cohort_index while another of the per-DOI maps holds it."""
+    vectors or from cohort_index while another of the per-DOI maps holds it.
+    Likewise for a citing journal in source_issns but in neither
+    source_sections nor source_other, or the reverse."""
     for has, lacks in (("cohort_index", "vectors"), ("cited_journals", "vectors"),
                        ("cited_years", "vectors"), ("vectors", "cohort_index")):
         stray = getattr(ledger, has).keys() - getattr(ledger, lacks).keys()
         if stray:
             raise ValueError(f"cannot write DOI {min(stray)!r}: it is in {has} but not {lacks}")
+    weighted = ledger.source_sections.keys() | ledger.source_other.keys()
+    stray = weighted ^ ledger.source_issns.keys()
+    if stray:
+        raise ValueError(f"cannot write journal {min(stray)!r}: it must be in source_issns "
+                         "exactly when it is in source_sections or source_other")
 
 
 def _main_rows(ledger: Ledger) -> Iterator[list[str]]:
@@ -353,8 +360,9 @@ def write_ledger(ledger: Ledger, directory: str | Path) -> list[Path]:
     earlier ledger as it was. Raises ValueError for a ledger that would not
     read back unchanged: cohort_index keys other than the vectors keys, a
     cited_journals or cited_years DOI not in vectors, a tab or newline in any
-    cell (a tab inside a cell adds one to its row's count), or an ISSN that is
-    empty or holds ';'.
+    cell (a tab inside a cell adds one to its row's count), an ISSN that is
+    empty or holds ';', or source_issns keys other than the journals in
+    source_sections or source_other.
     """
     _check_keys(ledger)
     Path(directory).mkdir(parents=True, exist_ok=True)

@@ -442,6 +442,24 @@ class TestStatsCommand:
             "top_share_articles": [(True, top)],
         }
 
+    def test_each_tsv_is_regenerated_from_report_json(
+        self, synth_corpus, classification_file, tmp_path
+    ):
+        _, truth = synth_corpus
+        write_ledger(truth.ledger, tmp_path / "ledger")
+        out = tmp_path / "out"
+        assert run("stats", "--ledger-dir", str(tmp_path / "ledger"),
+                   "--classification", str(classification_file),
+                   "--output-dir", str(out), "--min-total", "3") == 0
+        written = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(written) == 13
+        del written["report.json"]
+        regenerated = {}
+        for name, header, rows in cli._stats_files(json.loads((out / "report.json").read_text())):
+            cli._write_tsv(tmp_path / name, header, rows)
+            regenerated[name] = (tmp_path / name).read_bytes()
+        assert regenerated == written
+
 
 def write_bundle(path: Path, top_share: list[dict]) -> Path:
     """A report.json with empty tables and the given top-share entries."""
@@ -490,6 +508,26 @@ class TestReportCommand:
             "  discussion   10.1000/six-quarters                     share 100.0%  total 1.50",
             "  introduction 10.1000/none                             share   0.0%  total 0",
         ]
+
+    @pytest.mark.parametrize("text, missing", [
+        ("[]", "'list' object has no attribute"),
+        ('{"provenance": {}}', "missing 'share'"),
+        (None, "missing 'total'"),
+        ("{", "Expecting property name"),
+    ], ids=["json-list", "no-share", "top-share-without-total", "not-json"])
+    def test_input_that_is_not_a_bundle_is_runtime_error(self, tmp_path, capsys,
+                                                         text, missing):
+        path = tmp_path / "report.json"
+        if text is None:
+            write_bundle(path, [{"section": "methods", "doi": "10.1000/x", "share": 0.5}])
+        else:
+            path.write_text(text, "utf-8")
+        assert run("report", "--input", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"seccite: error: {path}: not a seccite report bundle ({missing}")
+        assert captured.err.count("\n") == 1
 
 
 class TestUsageErrors:

@@ -343,6 +343,16 @@ class TestRoundTrip:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "ledger",
+        [Ledger(source_issns={"J": {"1234-5678"}}), Ledger(source_other={"J": Fraction(1)})],
+        ids=["issns-without-weights", "weights-without-issns"],
+    )
+    def test_source_issns_must_match_weighted_journals(self, tmp_path, ledger):
+        with pytest.raises(ValueError, match="journal 'J'"):
+            write_ledger(ledger, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "spoil, error",
         [
             (lambda led, _: (led.vectors.update({"10.1/\tx": {M: Fraction(1)}}),
