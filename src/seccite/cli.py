@@ -34,6 +34,7 @@ _HOMES = {
     "JatsError": "jats",
     "ledger_files": "ledger",
     "CORRELATION_AXES": "metrics",
+    "MIN_YEAR": "metrics",
     "SHARE_COLUMNS": "metrics",
     "cited_dois": "metrics",
     "load_name_table": "sections",
@@ -73,6 +74,22 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
+def _year(text: str) -> int:
+    year = int(text)
+    if year < MIN_YEAR:
+        raise ValueError(f"must be >= {MIN_YEAR}")
+    return year
+
+
+def _min_total(text: str):
+    from fractions import Fraction
+
+    value = Fraction(text)
+    if value <= 0:
+        raise ValueError("must be positive")
     return value
 
 
@@ -399,10 +416,10 @@ def _stats_files(bundle: dict):
 
 
 def _notes(bundle: dict) -> list[str]:
-    """The correlation notes, then each anchored table's, in the bundle's order."""
-    return [*bundle["correlations"].get("notes", []),
-            *(note for table in bundle.get("anchored", {}).values()
-              for note in table.get("notes", []))]
+    """The correlation notes, then each anchored table's, in section order."""
+    correlations = bundle["correlations"]
+    return [*correlations["notes"], *(note for anchor in correlations["axes"][:-1]
+                                      for note in bundle["anchored"][anchor]["notes"])]
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -413,8 +430,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     ledger_dir = _resolve(args, config, "ledger_dir", None, Path)
     classification = _resolve(args, config, "classification", None, Path)
     extension = _resolve(args, config, "extension", None, Path)
-    year = _resolve(args, config, "year", 2012, int)
-    min_total = _resolve(args, config, "min_total", Fraction(100), Fraction)
+    year = _resolve(args, config, "year", 2012, _year)
+    min_total = _resolve(args, config, "min_total", Fraction(100), _min_total)
     output_dir = _resolve(args, config, "output_dir", None, Path)
     if ledger_dir is None or output_dir is None:
         raise CliError("stats requires --ledger-dir and --output-dir")
@@ -526,7 +543,7 @@ def _parse_structure_mix(text: str) -> dict[str, float]:
         if "=" not in item:
             raise CliError(f"bad --structure-mix entry {item!r}; expected PATTERN=prob")
         pattern, _, prob = item.partition("=")
-        mix[pattern.strip()] = float(prob)
+        mix[pattern.strip()] = _convert(prob, float, f"--structure-mix {pattern}=")
     return mix
 
 
@@ -571,54 +588,53 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _render_share(name: str, table: dict) -> list[str]:
-    lines = [f"== Share of citation weight by {name} =="]
-    header = ["field".ljust(44)] + [c.rjust(11) for c in table["columns"]]
-    lines.append("".join(header))
-    for field, row in sorted(table["rows"].items()):
-        cells = [field.ljust(44)]
-        for share in row["shares"]:
-            cells.append(f"{100.0 * share:10.1f}%")
-        lines.append("".join(cells))
-    return lines
+def _cell(value: float | None, spec: str = ".2f") -> str:
+    """`value` formatted by `spec`, or "-" for None. A value that rounds to
+    zero loses its minus sign, so no cell reads "-0.00"."""
+    if value is None:
+        return "-"
+    text = format(value, spec)
+    return text[1:] if text.startswith("-") and float(text.rstrip("%")) == 0 else text
 
 
-def _render_matrix(title: str, axes: list[str], matrix: list[list[float | None]],
-                   percent: bool = False) -> list[str]:
-    lines = [f"== {title} =="]
-    lines.append("".join(["axis".ljust(12)] + [a.rjust(12) for a in axes]))
-    for axis, row in zip(axes, matrix):
-        cells = [axis.ljust(12)]
-        for value in row:
-            if value is None:
-                cells.append("-".rjust(12))
-            elif percent:
-                cells.append(f"{100.0 * value:11.0f}%")
-            else:
-                cells.append(f"{value:12.2f}")
-        lines.append("".join(cells))
-    return lines
+def _table(title: str, header: list[str], rows: list[list[str]]) -> list[str]:
+    """A titled text table and a blank line. Each column is as wide as its
+    widest cell; the first is left-aligned and the others right-aligned."""
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return [f"== {title} ==", *("  ".join(cell.rjust(width) if i else cell.ljust(width)
+                                          for i, (cell, width) in enumerate(zip(row, widths)))
+                                for row in (header, *rows)), ""]
 
 
 def _render_report(bundle: dict) -> list[str]:
-    out: list[str] = []
     provenance = bundle.get("provenance", {})
-    out.append(f"seccite report (tool {provenance.get('version', '?')}, "
-               f"config {provenance.get('config_hash', '?')[:12]})")
-    out.append("")
-    out.extend(_render_share("source field", bundle["share"]["source-field"]))
-    out.append("")
-    out.extend(_render_share("target field", bundle["share"]["target-field"]))
-    out.append("")
-    axes = bundle["correlations"]["axes"]
-    out.extend(_render_matrix(
-        f"Median rank correlation across fields (cited year {bundle['correlations']['year']})",
-        axes, bundle["correlations"]["median"]))
-    out.append("")
-    out.extend(_render_matrix(
-        "Share of fields with a positive correlation", axes,
-        bundle["correlations"]["positive_share"], percent=True))
-    out.append("")
+    out = [f"seccite report (tool {provenance.get('version', '?')}, "
+           f"config {provenance.get('config_hash', '?')[:12]})", ""]
+    for perspective in ("source", "target"):
+        table = bundle["share"][f"{perspective}-field"]
+        out += _table(f"Share of citation weight by {perspective} field",
+                      ["field", *table["columns"]],
+                      [[field, *(_cell(share, ".1%") for share in row["shares"])]
+                       for field, row in sorted(table["rows"].items())])
+    correlations = bundle["correlations"]
+    axes = correlations["axes"]
+    sections = axes[:-1]  # the last axis is "all"
+    for title, matrix, spec in (
+        (f"Median rank correlation across fields (cited year {correlations['year']})",
+         correlations["median"], ".2f"),
+        ("Share of fields with a positive correlation", correlations["positive_share"], ".0%"),
+        *((f"Rank correlation in {m['field']} (n={m['n']})", m["values"], ".2f")
+          for m in correlations.get("per_field", [])),
+    ):
+        out += _table(title, ["axis", *axes], [[axis, *(_cell(value, spec) for value in row)]
+                                               for axis, row in zip(axes, matrix)])
+    for anchor in sections:
+        out += _table(f"Geometric mean citations of articles cited in {anchor} (95% CI)",
+                      ["field", "n", *sections],
+                      [[field, str(row[sections[0]]["n"]),
+                        *(f"{_cell(row[s]['mean'])} [{_cell(row[s]['ci_lo'])}, "
+                          f"{_cell(row[s]['ci_hi'])}]" for s in sections)]
+                       for field, row in sorted(bundle["anchored"][anchor]["rows"].items())])
     out.append("== Highly cited articles with the largest single-section share ==")
     for entry in bundle["top_share"]:
         numerator, denominator = map(int, entry["total"].split("/"))

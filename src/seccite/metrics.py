@@ -24,6 +24,7 @@ from .sections import SECTION_ORDER, CanonicalSection
 
 ALL_COLUMN = "all"
 UNCLASSIFIED = "unclassified"
+MIN_YEAR = 1900  # the earliest cited year `correlation_tables` accepts
 
 SHARE_COLUMNS: tuple[str, ...] = tuple(s.column for s in SECTION_ORDER) + (OTHER_COLUMN,)
 CORRELATION_AXES: tuple[str, ...] = tuple(s.column for s in SECTION_ORDER) + (ALL_COLUMN,)
@@ -421,7 +422,7 @@ def correlation_tables(
     with a per-cell median matrix and positive-correlation share matrix
     across fields. `cited` is `cited_dois(ledger, field_map)` when the caller
     already has it."""
-    if year < 1900:
+    if year < MIN_YEAR:
         raise ValueError(f"year {year} out of range")
     per_field: list[CorrelationMatrix] = []
     notes: list[str] = []

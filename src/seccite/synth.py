@@ -69,7 +69,10 @@ class CorpusSpec:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        for pattern in self.structure_mix:
+        for pattern, probability in self.structure_mix.items():
+            if not 0.0 <= probability <= 1.0:  # also rejects NaN
+                raise ValueError(f"structure_mix probability of {pattern!r} must be in [0, 1], "
+                                 f"got {probability}")
             for token in _pattern_tokens(pattern):
                 if token not in _TOKEN_SECTION:
                     raise ValueError(f"unknown structure token {token!r} in {pattern!r}")

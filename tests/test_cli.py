@@ -5,6 +5,7 @@ import importlib
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -78,6 +79,19 @@ class TestSynthCommand:
     def test_ground_truth_stats_written(self, corpus):
         stats = json.loads((corpus / "ground_truth" / "stats.json").read_text())
         assert stats["documents"] == 40
+
+    @pytest.mark.parametrize("mix, message", [
+        ("IMRDC=abc", "--structure-mix IMRDC=abc: could not convert string to float"),
+        ("IMRDC=nan", "probability of 'IMRDC' must be in [0, 1], got nan"),
+        ("IMRDC=1.5,IMRD=-0.5", "probability of 'IMRDC' must be in [0, 1], got 1.5"),
+    ], ids=["not-a-number", "nan", "negative"])
+    def test_bad_structure_mix_is_runtime_error(self, tmp_path, capsys, mix, message):
+        assert run("synth", "--out-dir", str(tmp_path / "out"), "--articles", "5",
+                   "--structure-mix", mix) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("seccite: error: ") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestIngestCommand:
@@ -509,6 +523,74 @@ class TestReportCommand:
             "  introduction 10.1000/none                             share   0.0%  total 0",
         ]
 
+    def test_renders_every_table_in_the_bundle(self, classification_file, tmp_path, capsys):
+        # The seed-7 20-article ground truth has correlation and anchored notes,
+        # and median cells that round to zero from below.
+        assert run("synth", "--out-dir", str(tmp_path / "corpus"), "--articles", "20",
+                   "--seed", "7") == 0
+        out = tmp_path / "stats"
+        capsys.readouterr()
+        assert run("stats", "--ledger-dir", str(tmp_path / "corpus" / "ground_truth"),
+                   "--classification", str(classification_file),
+                   "--output-dir", str(out), "--min-total", "3") == 0
+        prefix = "seccite: note: "
+        notes = [line[len(prefix):] for line in capsys.readouterr().err.splitlines()
+                 if line.startswith(prefix)]
+        assert run("report", "--input", str(out / "report.json")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        bundle = json.loads((out / "report.json").read_text())
+        correlations = bundle["correlations"]
+        axes = correlations["axes"]
+        sections = axes[:-1]
+        assert correlations["per_field"] and notes
+
+        tables: dict[str, list[list[str]]] = {}
+        for line in lines[1:]:
+            if line.startswith("== "):
+                rows = tables[line.strip("= ")] = []
+            elif line:
+                rows.append(re.split(r"\s{2,}", line.strip()))
+        assert list(tables) == [
+            "Share of citation weight by source field",
+            "Share of citation weight by target field",
+            "Median rank correlation across fields (cited year 2012)",
+            "Share of fields with a positive correlation",
+            *(f"Rank correlation in {matrix['field']} (n={matrix['n']})"
+              for matrix in correlations["per_field"]),
+            *(f"Geometric mean citations of articles cited in {anchor} (95% CI)"
+              for anchor in sections),
+            "Highly cited articles with the largest single-section share",
+            "Notes",
+        ]
+
+        def cell(title: str, row: str, column: str) -> str:
+            header, *body = tables[title]
+            return next(r for r in body if r[0] == row)[header.index(column)]
+
+        field, row = next(iter(bundle["share"]["source-field"]["rows"].items()))
+        assert cell("Share of citation weight by source field", field, "intro") == (
+            f"{100 * row['shares'][0]:.1f}%")
+        near_zero = [(axis, column) for axis, values in zip(axes, correlations["median"])
+                     for column, value in zip(axes, values)
+                     if value is not None and value < 0 and round(value, 2) == 0]
+        assert near_zero
+        for axis, column in near_zero:
+            assert cell("Median rank correlation across fields (cited year 2012)",
+                        axis, column) == "0.00"
+        positive = correlations["positive_share"][0][1]
+        assert cell("Share of fields with a positive correlation", "intro", "background") == (
+            f"{100 * positive:.0f}%")
+        for matrix in correlations["per_field"]:
+            for i, axis in enumerate(axes):
+                expected = "-" if matrix["values"][i][i] is None else "1.00"
+                assert cell(f"Rank correlation in {matrix['field']} (n={matrix['n']})",
+                            axis, axis) == expected
+        for anchor in sections:
+            for field, row in bundle["anchored"][anchor]["rows"].items():
+                assert cell(f"Geometric mean citations of articles cited in {anchor} (95% CI)",
+                            field, "n") == str(row[sections[0]]["n"])
+        assert [row[0] for row in tables["Notes"]] == notes
+
     @pytest.mark.parametrize("text, missing", [
         ("[]", "'list' object has no attribute"),
         ('{"provenance": {}}', "missing 'share'"),
@@ -623,6 +705,30 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("seccite: error: --min-total 1/0: zero denominator")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("year", "1800", "must be >= 1900"),
+        ("min_total", "0", "must be positive"),
+        ("min_total", "-1/2", "must be positive"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_out_of_range_value_names_its_source(
+        self, ingested, classification_file, tmp_path, capsys, key, value, reason, source
+    ):
+        argv = ["stats", "--ledger-dir", str(ingested), "--classification",
+                str(classification_file), "--output-dir", str(tmp_path / "o")]
+        if source == "flag":
+            flag = "--" + key.replace("_", "-")
+            argv.append(f"{flag}={value}")
+            expected = f"seccite: error: {flag} {value}: {reason}\n"
+        else:
+            config = tmp_path / "run.conf"
+            config.write_text(f"{key}={value}\n", "utf-8")
+            argv += ["--config", str(config)]
+            expected = f"seccite: error: {config}: {key}={value}: {reason}\n"
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "o").exists()
 
     def test_config_worker_count_below_one_names_key_and_file(self, corpus, tmp_path, capsys):
         config = tmp_path / "run.conf"

@@ -115,6 +115,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="sum to 1"):
             spec.validate()
 
+    @pytest.mark.parametrize("mix", [
+        {"IMRDC": float("nan")},
+        {"IMRDC": 1.5, "IMRD": -0.5},
+        {"IMRDC": float("inf"), "IMRD": float("-inf")},
+    ], ids=["nan", "negative", "infinite"])
+    def test_probabilities_must_be_in_unit_interval(self, mix):
+        with pytest.raises(ValueError, match=r"probability of 'IMRDC' must be in \[0, 1\]"):
+            CorpusSpec(structure_mix=mix).validate()
+
     def test_unknown_token_rejected(self, tmp_path):
         spec = CorpusSpec(structure_mix={"IMQ": 1.0})
         with pytest.raises(ValueError, match="Q"):
