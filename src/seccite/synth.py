@@ -36,6 +36,9 @@ DEFAULT_STRUCTURE_MIX: dict[str, float] = {
     "IMRDNC": 0.10,
 }
 
+# The fewest references a planned article may have.
+MIN_REFS = 4
+
 
 @dataclass(frozen=True)
 class CorpusSpec:
@@ -61,8 +64,13 @@ class CorpusSpec:
         if abs(sum(self.structure_mix.values()) - 1.0) > 1e-9:
             raise ValueError("structure_mix probabilities must sum to 1")
         lo, hi = self.refs_per_article
-        if lo < 4 or hi < lo:
-            raise ValueError("refs_per_article must be a range with min >= 4")
+        if not MIN_REFS <= lo <= hi:
+            raise ValueError(f"refs_per_article must be a range with {MIN_REFS} <= min <= max, "
+                             f"got ({lo}, {hi})")
+        works = _universe_size(self.article_count)
+        if hi > works:
+            raise ValueError(f"refs_per_article max {hi} exceeds the {works} citable works "
+                             f"of a {self.article_count}-article corpus")
         for name in ("doi_coverage", "range_citation_rate", "noise_section_rate",
                      "review_article_rate", "subsection_rate",
                      "abstract_citation_rate", "missing_year_rate"):
@@ -73,8 +81,11 @@ class CorpusSpec:
             if not 0.0 <= probability <= 1.0:  # also rejects NaN
                 raise ValueError(f"structure_mix probability of {pattern!r} must be in [0, 1], "
                                  f"got {probability}")
-            for token in _pattern_tokens(pattern):
-                if token not in _TOKEN_SECTION:
+            tokens = _pattern_tokens(pattern)
+            if not tokens:
+                raise ValueError(f"structure pattern {pattern!r} has no section token")
+            for token in tokens:
+                if token not in _TOKENS:
                     raise ValueError(f"unknown structure token {token!r} in {pattern!r}")
 
 
@@ -85,36 +96,28 @@ class GroundTruth:
     stats: dict[str, int]
 
 
-# Citing journals (title, issn); the '&' exercises XML escaping end to end.
-CITING_JOURNALS: tuple[tuple[str, str], ...] = (
-    ("Journal of Synthetic Biology", "1111-0001"),
-    ("Annals of Data & Methods", "1111-0002"),
-    ("Clinical Trials Quarterly", "1111-0003"),
-    ("Computational Ecology Letters", "1111-0004"),
-    ("Archives of Applied Physics", "1111-0005"),
-    ("Review of Social Dynamics", "1111-0006"),
-    ("Materials Engineering Reports", "1111-0007"),
-    ("Global Health Notes", "1111-0008"),
+# Citing journals (title, issn, field); the '&' exercises XML escaping end to end.
+CITING_JOURNALS: tuple[tuple[str, str, str], ...] = (
+    ("Journal of Synthetic Biology", "1111-0001", "Biology"),
+    ("Annals of Data & Methods", "1111-0002", "Mathematics & Statistics"),
+    ("Clinical Trials Quarterly", "1111-0003", "Clinical Medicine"),
+    ("Computational Ecology Letters", "1111-0004", "Earth & Environmental Sciences"),
+    ("Archives of Applied Physics", "1111-0005", "Physics & Astronomy"),
+    ("Review of Social Dynamics", "1111-0006", "Social Sciences"),
+    ("Materials Engineering Reports", "1111-0007", "Engineering"),
+    ("Global Health Notes", "1111-0008", "Public Health & Health Services"),
 )
 
-CITED_JOURNALS: tuple[str, ...] = tuple(title for title, _ in CITING_JOURNALS) + (
+CITED_JOURNALS: tuple[str, ...] = tuple(title for title, _, _ in CITING_JOURNALS) + (
     "Proceedings of Measurement Science",
     "Statistical Software Bulletin",
 )
 
 # Journal -> field rows for a classification fixture covering the pools.
-CLASSIFICATION_ROWS: tuple[tuple[str, str, str, str], ...] = (
-    ("Journal of Synthetic Biology", "1111-0001", "", "Biology"),
-    ("Annals of Data & Methods", "1111-0002", "", "Mathematics & Statistics"),
-    ("Clinical Trials Quarterly", "1111-0003", "", "Clinical Medicine"),
-    ("Computational Ecology Letters", "1111-0004", "", "Earth & Environmental Sciences"),
-    ("Archives of Applied Physics", "1111-0005", "", "Physics & Astronomy"),
-    ("Review of Social Dynamics", "1111-0006", "", "Social Sciences"),
-    ("Materials Engineering Reports", "1111-0007", "", "Engineering"),
-    ("Global Health Notes", "1111-0008", "", "Public Health & Health Services"),
-    ("Proceedings of Measurement Science", "", "", "Enabling & Strategic Technologies"),
-    # "Statistical Software Bulletin" stays unclassified on purpose.
-)
+# "Statistical Software Bulletin" stays unclassified on purpose.
+CLASSIFICATION_ROWS: tuple[tuple[str, str, str, str], ...] = tuple(
+    (title, issn, "", fld) for title, issn, fld in CITING_JOURNALS
+) + (("Proceedings of Measurement Science", "", "", "Enabling & Strategic Technologies"),)
 
 
 def write_classification(path: str | Path) -> Path:
@@ -127,37 +130,28 @@ def write_classification(path: str | Path) -> Path:
     return path
 
 
-_TOKEN_SECTION: dict[str, CanonicalSection | None] = {
-    "I": CanonicalSection.INTRODUCTION,
-    "B": CanonicalSection.BACKGROUND,
-    "L": CanonicalSection.BACKGROUND,
-    "M": CanonicalSection.METHODS,
-    "R": CanonicalSection.RESULTS,
-    "D": CanonicalSection.DISCUSSION,
-    "[RD]": CanonicalSection.DISCUSSION,
-    "C": CanonicalSection.CONCLUSION,
-    "N": None,
-}
-
-# (sec-type attribute values, recognizable titles) per token.
-_TOKEN_FORMS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "I": (("intro", "introduction"), ("Introduction",)),
-    "B": (("background",), ("Background",)),
-    "L": ((), ("Literature Review", "Related Literature")),
+# Structure token -> (canonical section, sec-type attribute values, recognizable titles).
+_TOKENS: dict[str, tuple[CanonicalSection | None, tuple[str, ...], tuple[str, ...]]] = {
+    "I": (CanonicalSection.INTRODUCTION, ("intro", "introduction"), ("Introduction",)),
+    "B": (CanonicalSection.BACKGROUND, ("background",), ("Background",)),
+    "L": (CanonicalSection.BACKGROUND, (), ("Literature Review", "Related Literature")),
     "M": (
+        CanonicalSection.METHODS,
         ("materials|methods", "methods"),
         ("Methods", "Materials and Methods", "Patients and Methods",
          "Statistical Analysis", "Study Design", "Methods/Design"),
     ),
-    "R": (("results",), ("Results",)),
-    "D": (("discussion",), ("Discussion", "Results and Discussion", "Limitations")),
-    "[RD]": ((), ("Results and Discussion",)),
+    "R": (CanonicalSection.RESULTS, ("results",), ("Results",)),
+    "D": (CanonicalSection.DISCUSSION, ("discussion",),
+          ("Discussion", "Results and Discussion", "Limitations")),
+    "[RD]": (CanonicalSection.DISCUSSION, (), ("Results and Discussion",)),
     "C": (
+        CanonicalSection.CONCLUSION,
         ("conclusion", "conclusions"),
         ("Conclusion", "Conclusions", "Summary", "Concluding Remarks"),
     ),
-    "N": ((), ("Acknowledgements", "Supplementary Material", "Author Contributions",
-               "Abbreviations", "Competing Interests", "Case Presentation")),
+    "N": (None, (), ("Acknowledgements", "Supplementary Material", "Author Contributions",
+                     "Abbreviations", "Competing Interests", "Case Presentation")),
 }
 
 _DISPLAY_TITLES = (
@@ -218,6 +212,21 @@ class _PlanMarker:
         return self.ref_indexes
 
 
+@dataclass
+class _PlanArticle:
+    """One planned article: what the XML writer renders and the oracle counts."""
+
+    is_review: bool
+    journal: str
+    issn: str
+    citing_doi: str | None
+    pub_year: int | None
+    refs: list[_Work]
+    recorded_years: list[int | None]
+    sections: list[_PlanSection]
+    abstract_marker: _PlanMarker | None
+
+
 def _choose_pattern(rng: random.Random, mix: Mapping[str, float]) -> str:
     roll = rng.random()
     acc = 0.0
@@ -229,10 +238,14 @@ def _choose_pattern(rng: random.Random, mix: Mapping[str, float]) -> str:
     return items[-1][0]
 
 
+def _universe_size(article_count: int) -> int:
+    """How many citable works a corpus of `article_count` articles cites from."""
+    return max(article_count * 2, 40)
+
+
 def _make_universe(rng: random.Random, spec: CorpusSpec) -> list[_Work]:
-    size = max(spec.article_count * 2, 40)
     works = []
-    for index in range(size):
+    for index in range(_universe_size(spec.article_count)):
         has_doi = rng.random() < spec.doi_coverage
         journal = rng.choice(CITED_JOURNALS)
         # 2012 is over-weighted so single-year cohort analyses have samples.
@@ -259,6 +272,62 @@ def _plan_marker(rng: random.Random, spec: CorpusSpec, ref_count: int) -> _PlanM
 
 def _plan_markers(rng: random.Random, spec: CorpusSpec, ref_count: int) -> list[_PlanMarker]:
     return [_plan_marker(rng, spec, ref_count) for _ in range(rng.randint(1, 3))]
+
+
+def _plan_article(
+    rng: random.Random, spec: CorpusSpec, universe: Sequence[_Work], article_index: int
+) -> _PlanArticle:
+    """Draw one article's plan; every planning draw happens here, in a fixed order."""
+    is_review = rng.random() < spec.review_article_rate
+    journal, issn, _ = CITING_JOURNALS[article_index % len(CITING_JOURNALS)]
+    pub_year = None if rng.random() < spec.missing_year_rate else rng.randint(2017, 2020)
+    citing_doi = f"10.8000/citing.{article_index:05d}" if rng.random() < 0.8 else None
+
+    ref_count = rng.randint(*spec.refs_per_article)
+    refs = [universe[i] for i in rng.sample(range(len(universe)), ref_count)]
+    recorded_years: list[int | None] = []
+    for work in refs:
+        if rng.random() < 0.05:
+            recorded_years.append(work.year + rng.choice((-1, 1)))
+        elif rng.random() < 0.03:
+            recorded_years.append(None)
+        else:
+            recorded_years.append(work.year)
+
+    tokens = _pattern_tokens(_choose_pattern(rng, spec.structure_mix))
+    if rng.random() < spec.noise_section_rate:
+        tokens.append("N")
+    sections: list[_PlanSection] = []
+    for position, token in enumerate(tokens, start=1):
+        _, sec_types, titles = _TOKENS[token]
+        use_attr = bool(sec_types) and rng.random() < 0.5
+        if use_attr:
+            sec_type = rng.choice(sec_types)
+            title = rng.choice(_DISPLAY_TITLES)
+        else:
+            sec_type = None
+            title = rng.choice(titles)
+            if rng.random() < 0.4:
+                title = f"{position}. {title}"
+            elif rng.random() < 0.15:
+                title = title.upper()
+        nested_title = None
+        nested_markers: list[_PlanMarker] = []
+        if rng.random() < spec.subsection_rate:
+            nested_title = f"{position}.1 Detail"
+            nested_markers = _plan_markers(rng, spec, ref_count)
+        sections.append(_PlanSection(
+            token=token, sec_type=sec_type, title=title, nested_title=nested_title,
+            markers=_plan_markers(rng, spec, ref_count), nested_markers=nested_markers,
+        ))
+
+    abstract_marker = (_plan_marker(rng, spec, ref_count)
+                       if rng.random() < spec.abstract_citation_rate else None)
+    return _PlanArticle(
+        is_review=is_review, journal=journal, issn=issn, citing_doi=citing_doi,
+        pub_year=pub_year, refs=refs, recorded_years=recorded_years, sections=sections,
+        abstract_marker=abstract_marker,
+    )
 
 
 def _render_marker(marker: _PlanMarker, rng: random.Random) -> str:
@@ -332,111 +401,25 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> GroundTruth:
     stats = Counter()
 
     for article_index in range(spec.article_count):
-        is_review = rng.random() < spec.review_article_rate
-        article_type = "review-article" if is_review else "research-article"
-        journal, issn = CITING_JOURNALS[article_index % len(CITING_JOURNALS)]
-        pub_year = None if rng.random() < spec.missing_year_rate else rng.randint(2017, 2020)
-        citing_doi = (
-            f"10.8000/citing.{article_index:05d}" if rng.random() < 0.8 else None
-        )
-
-        ref_count = rng.randint(*spec.refs_per_article)
-        work_indexes = rng.sample(range(len(universe)), ref_count)
-        refs = [universe[i] for i in work_indexes]
-        recorded_years: list[int | None] = []
-        for work in refs:
-            if rng.random() < 0.05:
-                recorded_years.append(work.year + rng.choice((-1, 1)))
-            elif rng.random() < 0.03:
-                recorded_years.append(None)
-            else:
-                recorded_years.append(work.year)
-
-        tokens = _pattern_tokens(_choose_pattern(rng, spec.structure_mix))
-        if rng.random() < spec.noise_section_rate:
-            tokens.append("N")
-        sections: list[_PlanSection] = []
-        for position, token in enumerate(tokens, start=1):
-            sec_types, titles = _TOKEN_FORMS[token]
-            use_attr = bool(sec_types) and rng.random() < 0.5
-            if use_attr:
-                sec_type = rng.choice(sec_types)
-                title = rng.choice(_DISPLAY_TITLES)
-            else:
-                sec_type = None
-                title = rng.choice(titles)
-                if rng.random() < 0.4:
-                    title = f"{position}. {title}"
-                elif rng.random() < 0.15:
-                    title = title.upper()
-            nested_title = None
-            nested_markers: list[_PlanMarker] = []
-            if rng.random() < spec.subsection_rate:
-                nested_title = f"{position}.1 Detail"
-                nested_markers = _plan_markers(rng, spec, ref_count)
-            sections.append(
-                _PlanSection(
-                    token=token,
-                    sec_type=sec_type,
-                    title=title,
-                    nested_title=nested_title,
-                    markers=_plan_markers(rng, spec, ref_count),
-                    nested_markers=nested_markers,
-                )
-            )
-
-        abstract_marker = None
-        if rng.random() < spec.abstract_citation_rate:
-            abstract_marker = _plan_marker(rng, spec, ref_count)
-
-        xml = _article_xml(
-            article_type=article_type,
-            journal=journal,
-            issn=issn,
-            citing_doi=citing_doi,
-            pub_year=pub_year,
-            sections=sections,
-            abstract_marker=abstract_marker,
-            refs=refs,
-            recorded_years=recorded_years,
-            rng=rng,
-        )
+        plan = _plan_article(rng, spec, universe, article_index)
         path = out_dir / f"article_{article_index:05d}.xml"
-        path.write_bytes(xml.encode("utf-8"))
+        path.write_bytes(_article_xml(plan, rng).encode("utf-8"))
         files.append(path)
 
         stats["documents"] += 1
-        if is_review:
+        if plan.is_review:
             continue
         stats["research_articles"] += 1
-        stats["references"] += ref_count
-        stats["references_with_doi"] += sum(1 for w in refs if w.doi is not None)
-        section_pairs, other_pairs = _account_article(
-            truth,
-            journal=journal,
-            issn=issn,
-            pub_year=pub_year,
-            sections=sections,
-            abstract_marker=abstract_marker,
-            refs=refs,
-            recorded_years=recorded_years,
-        )
+        stats["references"] += len(plan.refs)
+        stats["references_with_doi"] += sum(1 for w in plan.refs if w.doi is not None)
+        section_pairs, other_pairs = _account_article(truth, plan)
         stats["section_pairs"] += section_pairs
         stats["other_pairs"] += other_pairs
 
     return GroundTruth(ledger=truth, files=tuple(files), stats=dict(stats))
 
 
-def _account_article(
-    truth: Ledger,
-    journal: str,
-    issn: str,
-    pub_year: int | None,
-    sections: Sequence[_PlanSection],
-    abstract_marker: _PlanMarker | None,
-    refs: Sequence[_Work],
-    recorded_years: Sequence[int | None],
-) -> tuple[int, int]:
+def _account_article(truth: Ledger, plan: _PlanArticle) -> tuple[int, int]:
     """Fold one planned article into the expected ledger.
 
     Mirrors the counting rules from the plan side: one mention per distinct
@@ -446,6 +429,7 @@ def _account_article(
     """
     recognized: dict[str, dict[CanonicalSection, int]] = {}
     other: dict[str, int] = {}
+    refs, journal = plan.refs, plan.journal
 
     def mention(marker: _PlanMarker, section: CanonicalSection | None) -> None:
         dois = sorted({refs[i].doi for i in marker.mentioned() if refs[i].doi is not None})
@@ -456,17 +440,17 @@ def _account_article(
                 per = recognized.setdefault(doi, {})
                 per[section] = per.get(section, 0) + 1
 
-    for plan in sections:
-        section = _TOKEN_SECTION[plan.token]
-        for marker in plan.markers:
+    for sec in plan.sections:
+        section = _TOKENS[sec.token][0]
+        for marker in sec.markers:
             mention(marker, section)
-        for marker in plan.nested_markers:
+        for marker in sec.nested_markers:
             mention(marker, section)  # nested citations attribute to the outer section
-    if abstract_marker is not None:
-        mention(abstract_marker, None)
+    if plan.abstract_marker is not None:
+        mention(plan.abstract_marker, None)
 
     doi_meta: dict[str, tuple[str, int | None]] = {}
-    for work, recorded in zip(refs, recorded_years):
+    for work, recorded in zip(refs, plan.recorded_years):
         if work.doi is not None and work.doi not in doi_meta:
             doi_meta[work.doi] = (work.journal, recorded)
 
@@ -478,7 +462,7 @@ def _account_article(
             weight = Fraction(count, total)
             vector[section] = vector.get(section, Fraction(0)) + weight
             per_journal[section] = per_journal.get(section, Fraction(0)) + weight
-        truth.cohort_index.setdefault(doi, set()).add((journal, pub_year))
+        truth.cohort_index.setdefault(doi, set()).add((journal, plan.pub_year))
         cited_journal, cited_year = doi_meta[doi]
         truth.cited_journals.setdefault(doi, Counter())[cited_journal] += 1
         if cited_year is not None:
@@ -494,53 +478,43 @@ def _account_article(
             truth.target_other.get(doi_meta[doi][0], Fraction(0)) + 1
         )
     if recognized or other:
-        truth.source_issns.setdefault(journal, set()).add(issn)
+        truth.source_issns.setdefault(journal, set()).add(plan.issn)
     return len(recognized), other_pairs
 
 
-def _article_xml(
-    article_type: str,
-    journal: str,
-    issn: str,
-    citing_doi: str | None,
-    pub_year: int | None,
-    sections: Sequence[_PlanSection],
-    abstract_marker: _PlanMarker | None,
-    refs: Sequence[_Work],
-    recorded_years: Sequence[int | None],
-    rng: random.Random,
-) -> str:
+def _article_xml(plan: _PlanArticle, rng: random.Random) -> str:
+    article_type = "review-article" if plan.is_review else "research-article"
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<article article-type="{article_type}">',
         "<front>",
         "<journal-meta>",
-        f"<journal-title-group><journal-title>{escape(journal)}</journal-title></journal-title-group>",
-        f'<issn pub-type="ppub">{issn}</issn>',
+        f"<journal-title-group><journal-title>{escape(plan.journal)}</journal-title></journal-title-group>",
+        f'<issn pub-type="ppub">{plan.issn}</issn>',
         "</journal-meta>",
         "<article-meta>",
     ]
-    if citing_doi is not None:
-        lines.append(f'<article-id pub-id-type="doi">{escape(citing_doi)}</article-id>')
+    if plan.citing_doi is not None:
+        lines.append(f'<article-id pub-id-type="doi">{escape(plan.citing_doi)}</article-id>')
     lines.append("<title-group><article-title>Synthetic study</article-title></title-group>")
-    if pub_year is not None:
-        lines.append(f'<pub-date pub-type="epub"><year>{pub_year}</year></pub-date>')
-    if abstract_marker is not None:
+    if plan.pub_year is not None:
+        lines.append(f'<pub-date pub-type="epub"><year>{plan.pub_year}</year></pub-date>')
+    if plan.abstract_marker is not None:
         lines.append(
             "<abstract><p>Context is set by prior work "
-            f"{_render_marker(abstract_marker, rng)}.</p></abstract>"
+            f"{_render_marker(plan.abstract_marker, rng)}.</p></abstract>"
         )
     else:
         lines.append("<abstract><p>A synthetic abstract.</p></abstract>")
     lines.append("</article-meta>")
     lines.append("</front>")
     lines.append("<body>")
-    for position, plan in enumerate(sections, start=1):
-        lines.append(_section_xml(plan, position, rng))
+    for position, section in enumerate(plan.sections, start=1):
+        lines.append(_section_xml(section, position, rng))
     lines.append("</body>")
     lines.append("<back>")
     lines.append("<ref-list>")
-    for index, (work, recorded) in enumerate(zip(refs, recorded_years)):
+    for index, (work, recorded) in enumerate(zip(plan.refs, plan.recorded_years)):
         lines.append(_reference_xml(index, work, recorded))
     lines.append("</ref-list>")
     lines.append("</back>")

@@ -84,13 +84,27 @@ class TestSynthCommand:
         ("IMRDC=abc", "--structure-mix IMRDC=abc: could not convert string to float"),
         ("IMRDC=nan", "probability of 'IMRDC' must be in [0, 1], got nan"),
         ("IMRDC=1.5,IMRD=-0.5", "probability of 'IMRDC' must be in [0, 1], got 1.5"),
-    ], ids=["not-a-number", "nan", "negative"])
+        ("=1", "structure pattern '' has no section token"),
+    ], ids=["not-a-number", "nan", "negative", "empty-pattern"])
     def test_bad_structure_mix_is_runtime_error(self, tmp_path, capsys, mix, message):
         assert run("synth", "--out-dir", str(tmp_path / "out"), "--articles", "5",
                    "--structure-mix", mix) == 1
         err = capsys.readouterr().err
         assert err.startswith("seccite: error: ") and message in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--refs-min", "3"), "--refs-min 3 --refs-max 14: need 4 <= --refs-min <= --refs-max"),
+        (("--refs-min", "10", "--refs-max", "8"),
+         "--refs-min 10 --refs-max 8: need 4 <= --refs-min <= --refs-max"),
+        (("--articles", "55", "--refs-min", "60", "--refs-max", "120"),
+         "refs_per_article max 120 exceeds the 110 citable works of a 55-article corpus"),
+    ], ids=["min-below-4", "max-below-min", "max-above-universe"])
+    def test_bad_refs_range_is_runtime_error(self, tmp_path, capsys, flags, message):
+        assert run("synth", "--out-dir", str(tmp_path / "out"), *flags) == 1
+        err = capsys.readouterr().err
+        assert err == f"seccite: error: {message}\n"
         assert not (tmp_path / "out").exists()
 
 

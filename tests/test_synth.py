@@ -12,6 +12,7 @@ from seccite import (
     is_research_article,
     outer_section_labels,
     parse_article,
+    write_ledger,
 )
 
 
@@ -102,6 +103,34 @@ EDGE_SPECS = [
 ]
 
 
+# A default-spec corpus must stay byte-identical, random draws included, when
+# the generator gains an option; these digests pin two of them.
+PINNED_SPECS = [
+    (CorpusSpec(seed=7, article_count=40),
+     "e5e43b7731ebb240db0e98964f7d1109444e7a058c33d169b8dc914a4233fbd3",
+     "66794b74b6e7c5dd83622e16f9777a023f6c96975820a056e83c5f9c4515a022"),
+    (CorpusSpec(seed=7, article_count=60, refs_per_article=(60, 120),
+                structure_mix={"IBLMMMRRRDDDC": 1.0}),
+     "f2f24df5a0c1258432f68125fb648b837d9f75dd6ca14b3bc009dc21d7c2ac3c",
+     "c283fc84743ac04a362eb0b78ea56381f0b4d504d56d823ef5960b031f3ec43a"),
+]
+
+
+class TestPinnedCorpora:
+    @pytest.mark.parametrize("spec, corpus_sha256, ledger_sha256", PINNED_SPECS,
+                             ids=["default", "long-articles"])
+    def test_corpus_and_ground_truth_digests(self, spec, corpus_sha256, ledger_sha256,
+                                             tmp_path):
+        truth = generate_corpus(spec, tmp_path / "corpus")
+        write_ledger(truth.ledger, tmp_path / "ledger")
+        digest = hashlib.sha256()
+        for file in sorted((tmp_path / "ledger").glob("ledger*.tsv")):
+            digest.update(file.name.encode())
+            digest.update(file.read_bytes())
+        assert dir_digest(tmp_path / "corpus") == corpus_sha256
+        assert digest.hexdigest() == ledger_sha256
+
+
 class TestParameterCorners:
     @pytest.mark.parametrize("spec", EDGE_SPECS, ids=lambda s: f"seed{s.seed}")
     def test_round_trip_at_corners(self, spec, tmp_path):
@@ -124,6 +153,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=r"probability of 'IMRDC' must be in \[0, 1\]"):
             CorpusSpec(structure_mix=mix).validate()
 
+    @pytest.mark.parametrize("mix", [{"": 1.0}, {"IMRDC": 1.0, "": 0.0}],
+                             ids=["only", "zero-weight"])
+    def test_empty_pattern_rejected(self, mix):
+        with pytest.raises(ValueError, match="structure pattern '' has no section token"):
+            CorpusSpec(structure_mix=mix).validate()
+
     def test_unknown_token_rejected(self, tmp_path):
         spec = CorpusSpec(structure_mix={"IMQ": 1.0})
         with pytest.raises(ValueError, match="Q"):
@@ -136,3 +171,19 @@ class TestSpecValidation:
     def test_refs_range(self):
         with pytest.raises(ValueError, match="refs_per_article"):
             CorpusSpec(refs_per_article=(2, 10)).validate()
+
+    @pytest.mark.parametrize("refs", [(3, 10), (10, 8)])
+    def test_refs_range_names_both_ends(self, refs):
+        with pytest.raises(ValueError, match=rf"4 <= min <= max, got \({refs[0]}, {refs[1]}\)"):
+            CorpusSpec(refs_per_article=refs).validate()
+
+    def test_refs_max_above_universe_rejected(self, tmp_path):
+        spec = CorpusSpec(article_count=55, refs_per_article=(60, 120))
+        with pytest.raises(ValueError, match="max 120 exceeds the 110 citable works "
+                                             "of a 55-article corpus"):
+            generate_corpus(spec, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_refs_max_equal_to_universe_accepted(self, tmp_path):
+        truth = generate_corpus(CorpusSpec(article_count=2, refs_per_article=(40, 40)), tmp_path)
+        assert truth.stats["documents"] == 2
