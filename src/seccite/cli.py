@@ -9,11 +9,12 @@ inputs and config.
 from __future__ import annotations
 
 import argparse
-import functools
 import importlib
 import json
 import os
+import stat
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import _HOMES as _PUBLIC_HOMES, __version__
@@ -211,61 +212,69 @@ def _convert(value, convert, source: str):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4)
-def _name_table(overrides: str | None):
-    return load_name_table(overrides)
-
-
 # Files per worker task. A task folds its files into one Ledger, so the
 # parent unpickles and merges one Ledger per chunk rather than one per file.
 _CHUNK_FILES = 32
 
+# The largest corpus file ingest reads (256 MiB), far above any article. A
+# larger file is logged MALFORMED without being read.
+MAX_FILE_BYTES = 1 << 28
 
-def _ingest_chunk(paths: list[str], overrides: str | None):
-    """Worker: fold a run of files into one Ledger.
 
-    Returns the chunk's Ledger and one (path, counts, issues) per file, in
-    order. A file that failed has counts None and its one MALFORMED reason
-    as its issues; it added nothing to the Ledger.
+def _ingest_chunk(paths: list[str], overrides: Path | None):
+    """Worker: fold a run of files into one Ledger and one funnel Counter.
+
+    Returns (ledger, funnel, malformed, issues), where malformed holds a
+    (path, reason) pair per failed file and issues a (path, issue) pair per
+    issue of a counted file, both in file order. An exception raised for one
+    file adds only its MALFORMED pair: a file is counted once it has parsed
+    and been tallied, and add_article writes the Ledger only in its last,
+    infallible step. An unexpected one (not a JatsError) also prints its
+    traceback to stderr.
     """
     _bind("ingest")  # a spawned or forkserver worker never ran main()
+    names = load_name_table(overrides)
     ledger = Ledger()
-    return ledger, [_ingest_one(path_text, overrides, ledger) for path_text in paths]
+    funnel = Counter()
+    malformed = []
+    issues = []
+    for path_text in paths:
+        try:  # opening a FIFO must not block, and a file too large is not read
+            with open(path_text, "rb", opener=lambda p, f: os.open(p, f | os.O_NONBLOCK)) as file:
+                info = os.fstat(file.fileno())
+                if not stat.S_ISREG(info.st_mode):
+                    raise OSError("not a regular file")
+                data = file.read(info.st_size + 1) if info.st_size <= MAX_FILE_BYTES else b""
+                if len(data) > info.st_size:  # it grew after the fstat
+                    data += file.read(MAX_FILE_BYTES + 1 - len(data))
+            if max(info.st_size, len(data)) > MAX_FILE_BYTES:
+                raise OSError(f"larger than {MAX_FILE_BYTES} bytes")
+        except OSError as exc:
+            malformed.append((path_text, f"{path_text}: cannot read file: {exc.strerror or exc}"))
+            continue
+        try:
+            parsed = parse_article(data, source=path_text)
+            research = is_research_article(parsed.record)
+            if research:
+                ledger.add_article(parsed, outer_section_labels(parsed, names))
+        except JatsError as exc:
+            malformed.append((path_text, str(exc)))
+        except Exception as exc:
+            import traceback
 
-
-def _ingest_one(path_text: str, overrides: str | None, ledger: Ledger):
-    """Parse and tally one file into `ledger`; returns (path, counts, issues).
-
-    Any exception raised for one file costs only that file: counts is None
-    and the one reason given is logged as MALFORMED. An unexpected one (not
-    a JatsError) also prints its traceback to stderr. The Ledger is written
-    only by add_article's last, infallible step.
-    """
-    try:
-        data = Path(path_text).read_bytes()
-    except OSError as exc:
-        return path_text, None, [f"{path_text}: cannot read file: {exc.strerror or exc}"]
-    try:
-        parsed = parse_article(data, source=path_text)
-        counts = {"documents": 1}
-        if not is_research_article(parsed.record):
-            return path_text, counts, list(parsed.issues)
-        counts["research_articles"] = 1
-        counts["references"] = len(parsed.references)
-        counts["references_with_doi"] = sum(
-            1 for ref in parsed.references if ref.cited_doi is not None
-        )
-        labels = outer_section_labels(parsed, _name_table(overrides))
-        ledger.add_article(parsed, labels)
-    except JatsError as exc:
-        return path_text, None, [str(exc)]
-    except Exception as exc:
-        import traceback
-
-        print(f"seccite: {path_text}: unexpected error\n{traceback.format_exc()}",
-              file=sys.stderr)
-        return path_text, None, [f"{type(exc).__name__}: {exc}"]
-    return path_text, counts, list(parsed.issues)
+            print(f"seccite: {path_text}: unexpected error\n{traceback.format_exc()}",
+                  file=sys.stderr)
+            malformed.append((path_text, f"{type(exc).__name__}: {exc}"))
+        else:
+            funnel["documents"] += 1
+            if research:
+                funnel["research_articles"] += 1
+                funnel["references"] += len(parsed.references)
+                funnel["references_with_doi"] += sum(
+                    1 for ref in parsed.references if ref.cited_doi is not None
+                )
+            issues.extend((path_text, issue) for issue in parsed.issues)
+    return ledger, funnel, malformed, issues
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -280,26 +289,24 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     overrides = _resolve(args, config, "section_overrides", None, Path)
     if corpus_dir is None or output_dir is None:
         raise CliError("ingest requires --corpus-dir and --output-dir")
-    if not Path(corpus_dir).is_dir():
+    if not corpus_dir.is_dir():
         raise CliError(f"corpus directory not found (--corpus-dir): {corpus_dir}")
 
-    files = sorted(str(p) for p in Path(corpus_dir).rglob("*.xml"))
+    files = sorted(str(p) for p in corpus_dir.rglob("*.xml"))
     if not files:
         raise CliError(f"no .xml files under {corpus_dir}")
 
-    overrides_text = str(overrides) if overrides is not None else None
-    if overrides_text is not None and not Path(overrides_text).exists():
-        raise CliError(f"section override file not found: {overrides_text}")
-    _name_table(overrides_text)  # a bad override file fails the run, not each file
+    if overrides is not None and not overrides.exists():
+        raise CliError(f"section override file not found: {overrides}")
+    load_name_table(overrides)  # a bad override file fails the run, not each chunk
 
     ledger = Ledger()
-    totals = {"documents": 0, "research_articles": 0,
-              "references": 0, "references_with_doi": 0}
+    totals = Counter()
     failures: list[tuple[str, str]] = []
     issues: list[tuple[str, str]] = []
 
     chunks = [files[i:i + _CHUNK_FILES] for i in range(0, len(files), _CHUNK_FILES)]
-    work = (_ingest_chunk, chunks, [overrides_text] * len(chunks))
+    work = (_ingest_chunk, chunks, [overrides] * len(chunks))
     with contextlib.ExitStack() as stack:
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
@@ -308,18 +315,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         else:
             results = map(*work)
         done = 0
-        for chunk_ledger, records in results:
-            ledger.update(chunk_ledger)
-            for path_text, counts, file_issues in records:
-                if counts is None:
-                    failures.append((path_text, file_issues[0]))
-                else:
-                    for key, value in counts.items():
-                        totals[key] += value
-                    issues.extend((path_text, issue) for issue in file_issues)
-                done += 1
-                if done % 200 == 0:
-                    print(f"seccite: ingested {done}/{len(files)}", file=sys.stderr)
+        for chunk, (part, counts, failed, logged) in zip(chunks, results):
+            ledger.update(part)
+            totals.update(counts)
+            failures.extend(failed)
+            issues.extend(logged)
+            for mark in range((done // 200 + 1) * 200, done + len(chunk) + 1, 200):
+                print(f"seccite: ingested {mark}/{len(files)}", file=sys.stderr)
+            done += len(chunk)
 
     if totals["documents"] == 0:
         raise CliError(
@@ -327,7 +330,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             f"({len(failures)} malformed file(s))"
         )
 
-    output_dir = Path(output_dir)
     written = write_ledger(ledger, output_dir)
 
     doi_pct = (
@@ -343,10 +345,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         f"cited DOIs in ledger\t{len(ledger.vectors)}",
         f"malformed files\t{len(failures)}",
     ]
-    for path_text, reason in sorted(failures):
-        log_lines.append(f"MALFORMED\t{path_text}\t{reason}")
-    for path_text, issue in sorted(issues):
-        log_lines.append(f"ISSUE\t{path_text}\t{issue}")
+    # Escaped, so that each record stays one line of three cells for any path.
+    escape = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+    for kind, records in (("MALFORMED", failures), ("ISSUE", issues)):
+        log_lines.extend(f"{kind}\t{path_text.translate(escape)}\t{text.translate(escape)}"
+                         for path_text, text in sorted(records))
     (output_dir / "ingest_log.txt").write_text("\n".join(log_lines) + "\n", "utf-8")
 
     for line in log_lines[:6]:
@@ -544,7 +547,10 @@ def _parse_structure_mix(text: str) -> dict[str, float]:
         if "=" not in item:
             raise CliError(f"bad --structure-mix entry {item!r}; expected PATTERN=prob")
         pattern, _, prob = item.partition("=")
-        mix[pattern.strip()] = _convert(prob, float, f"--structure-mix {pattern}=")
+        name = pattern.strip()
+        if name in mix:
+            raise CliError(f"--structure-mix: pattern {name!r} is given twice")
+        mix[name] = _convert(prob, float, f"--structure-mix {pattern}=")
     return mix
 
 

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -85,7 +86,8 @@ class TestSynthCommand:
         ("IMRDC=nan", "probability of 'IMRDC' must be in [0, 1], got nan"),
         ("IMRDC=1.5,IMRD=-0.5", "probability of 'IMRDC' must be in [0, 1], got 1.5"),
         ("=1", "structure pattern '' has no section token"),
-    ], ids=["not-a-number", "nan", "negative", "empty-pattern"])
+        ("IMRDC=0.5, IMRDC =0.5", "--structure-mix: pattern 'IMRDC' is given twice"),
+    ], ids=["not-a-number", "nan", "negative", "empty-pattern", "repeated-pattern"])
     def test_bad_structure_mix_is_runtime_error(self, tmp_path, capsys, mix, message):
         assert run("synth", "--out-dir", str(tmp_path / "out"), "--articles", "5",
                    "--structure-mix", mix) == 1
@@ -296,6 +298,76 @@ class TestIngestCommand:
         expected = tmp_path / "expected"
         assert run("ingest", "--corpus-dir", str(rest), "--output-dir", str(expected)) == 0
         assert ledger_bytes(out) == ledger_bytes(expected)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("chunk", [7, 1000])
+    def test_progress_marks_crossed_inside_a_chunk_are_each_printed(
+        self, tmp_path, capsys, monkeypatch, chunk, workers, forked_workers
+    ):
+        corpus = tmp_path / "many"
+        corpus.mkdir()
+        for i in range(401):
+            (corpus / f"a{i:03d}.xml").write_bytes(make_article())
+        monkeypatch.setattr(cli, "_CHUNK_FILES", chunk)
+        assert run("ingest", "--corpus-dir", str(corpus), "--output-dir", str(tmp_path / "out"),
+                   "--workers", workers) == 0
+        progress = [line for line in capsys.readouterr().err.splitlines() if "ingested" in line]
+        assert progress == ["seccite: ingested 200/401", "seccite: ingested 400/401"]
+
+    def test_documents_seen_counts_only_files_that_parsed(self, mixed_corpus, tmp_path):
+        (mixed_corpus / "folder.xml").mkdir()
+        entries = len(list(mixed_corpus.rglob("*.xml")))
+        out = tmp_path / "out"
+        open_fds = len(os.listdir("/proc/self/fd"))
+        assert run("ingest", "--corpus-dir", str(mixed_corpus), "--output-dir", str(out),
+                   "--workers", "1") == 0
+        assert len(os.listdir("/proc/self/fd")) == open_fds  # folder.xml left no descriptor open
+        log = (out / "ingest_log.txt").read_text()
+        assert "malformed files\t2\n" in log
+        assert f"documents seen\t{entries - 2}\n" in log
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("entry", ["fifo", "sparse"])
+    def test_fifo_or_oversize_file_costs_only_itself(
+        self, corpus, ingested, tmp_path, entry, workers
+    ):
+        hostile = tmp_path / "hostile"
+        shutil.copytree(corpus, hostile, ignore=shutil.ignore_patterns("ground_truth"))
+        path = hostile / "zz_entry.xml"
+        if entry == "fifo":
+            os.mkfifo(path)
+            reason = "not a regular file"
+        else:
+            path.touch()
+            os.truncate(path, cli.MAX_FILE_BYTES + 1)  # sparse: no disk use, and never read
+            reason = f"larger than {cli.MAX_FILE_BYTES} bytes"
+        out = tmp_path / "out"
+        ingest_in_subprocess(hostile, out, workers)
+        log = (out / "ingest_log.txt").read_text()
+        malformed = [line for line in log.splitlines() if line.startswith("MALFORMED\t")]
+        assert malformed == [f"MALFORMED\t{path}\t{path}: cannot read file: {reason}"]
+        assert ledger_bytes(out) == ledger_bytes(ingested)
+
+    def test_log_records_stay_one_line_for_any_path(self, tmp_path):
+        corpus = tmp_path / "c"
+        corpus.mkdir()
+        bad = corpus / "bad\ttab\nnl.xml"
+        bad.write_bytes(b"<article><unclosed>")
+        odd = corpus / "back\\slash.xml"
+        odd.write_bytes(make_article(
+            body='<sec><title>Introduction</title>'
+                 '<p><xref ref-type="bibr" rid="r1 r9">[1, 9]</xref></p></sec>'
+        ))
+        out = tmp_path / "out"
+        assert run("ingest", "--corpus-dir", str(corpus), "--output-dir", str(out)) == 0
+        lines = (out / "ingest_log.txt").read_bytes().decode("utf-8").split("\n")
+        records = [line.split("\t") for line in lines if line.startswith(("MALFORMED", "ISSUE"))]
+        assert [len(cells) for cells in records] == [3, 3]
+        unescape = {"\\\\": "\\", "\\t": "\t", "\\n": "\n", "\\r": "\r"}
+        unescaped = [[re.sub(r"\\.", lambda m: unescape[m.group()], cell) for cell in cells]
+                     for cells in records]
+        assert [cells[:2] for cells in unescaped] == [["MALFORMED", str(bad)], ["ISSUE", str(odd)]]
+        assert unescaped[0][2].startswith(f"{bad}: malformed XML")
 
     def test_worker_entry_runs_in_a_spawned_process(self, corpus):
         # A spawned (or forkserver) worker imports seccite.cli afresh and never
@@ -760,12 +832,31 @@ def test_version_flag(capsys):
     assert excinfo.value.code == 0
 
 
+def seccite_env() -> dict[str, str]:
+    """The environment of a new Python process that imports this seccite."""
+    src = str(Path(seccite.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def fresh_interpreter(code: str) -> str:
     """Run `code` in a new Python process that imports this seccite; its stdout."""
-    src = str(Path(seccite.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=seccite_env(),
                           capture_output=True, text=True, check=True).stdout
+
+
+def ingest_in_subprocess(corpus: Path, out: Path, workers: str) -> None:
+    """`seccite ingest` in a new process session. A run that blocks fails after
+    a timeout and is killed with its workers, rather than hanging the suite."""
+    argv = [sys.executable, "-m", "seccite.cli", "ingest", "--corpus-dir", str(corpus),
+            "--output-dir", str(out), "--workers", workers]
+    with subprocess.Popen(argv, env=seccite_env(), stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        try:
+            _, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    assert proc.returncode == 0, err
 
 
 SUBMODULES = {f"seccite.{name}" for name in
