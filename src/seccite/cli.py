@@ -350,7 +350,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     for kind, records in (("MALFORMED", failures), ("ISSUE", issues)):
         log_lines.extend(f"{kind}\t{path_text.translate(escape)}\t{text.translate(escape)}"
                          for path_text, text in sorted(records))
-    (output_dir / "ingest_log.txt").write_text("\n".join(log_lines) + "\n", "utf-8")
+    # A byte of a file name that is not UTF-8 is written as \xNN.
+    log = ("\n".join(log_lines) + "\n").encode("utf-8", "surrogateescape")
+    (output_dir / "ingest_log.txt").write_text(log.decode("utf-8", "backslashreplace"), "utf-8")
 
     for line in log_lines[:6]:
         print("seccite: " + line.replace("\t", " "), file=sys.stderr)
@@ -441,9 +443,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         raise CliError("stats requires --ledger-dir and --output-dir")
     if classification is None:
         raise CliError("missing classification file (--classification)")
-    if not Path(classification).exists():
+    if not classification.exists():
         raise CliError(f"classification file not found (--classification): {classification}")
-    if extension is not None and not Path(extension).exists():
+    if extension is not None and not extension.exists():
         raise CliError(f"extension file not found (--extension): {extension}")
 
     try:
@@ -522,7 +524,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         ],
     }
 
-    output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     (output_dir / "report.json").write_text(
         json.dumps(bundle, sort_keys=True, indent=2) + "\n", "utf-8"

@@ -25,7 +25,8 @@ class JatsError(ValueError):
 
 
 class XmlParseError(JatsError):
-    """Input is not well-formed XML."""
+    """Input is not well-formed XML. byte_offset is where expat found the error
+    (for input with bad UTF-8, in the repaired bytes, capped at the input's length)."""
 
     def __init__(self, source: str, byte_offset: int, detail: str):
         super().__init__(f"{source}: malformed XML at byte {byte_offset}: {detail}")
@@ -246,21 +247,6 @@ _INLINE_TAGS = frozenset(
 )
 
 
-def _byte_offset(data: bytes, line: int, column: int) -> int:
-    """Approximate byte offset of a 1-based (line, column) parser position."""
-    if line <= 1:
-        return max(0, column)
-    newline = -1
-    for _ in range(line - 1):
-        newline = data.find(b"\n", newline + 1)
-        if newline < 0:
-            return len(data)
-    return min(len(data), newline + 1 + column)
-
-
-_ENCODING_DECL = re.compile(r'(<\?xml[^>]*?)\s+encoding\s*=\s*("[^"]*"|\'[^\']*\')')
-
-
 # Deepest element nesting parse_article reads, the root being depth 1.
 MAX_DEPTH = 1000
 
@@ -314,8 +300,9 @@ class _ArticlePass:
         # [rids, typed, outer section, text start, text end, blocks at start, at end]
         self.xrefs: list[list] = []
 
-    def run(self, text: str) -> None:
-        parser = expat.ParserCreate(namespace_separator="}")  # names come as "uri}local"
+    def run(self, data: bytes) -> None:
+        """Parse `data` as UTF-8; an ExpatError raised carries its `byte_index`."""
+        parser = expat.ParserCreate("utf-8", namespace_separator="}")  # names come as "uri}local"
         parser.buffer_text = True
         parser.CharacterDataHandler = self.texts.append
         parser.StartElementHandler = self.start
@@ -328,12 +315,15 @@ class _ArticlePass:
             line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
             name = name.rpartition("\f")[2]
             exc = expat.ExpatError(f"undefined entity &{name};: line {line}, column {column}")
-            exc.lineno, exc.offset = line, column
+            exc.byte_index = parser.CurrentByteIndex  # the parser moves on once this is raised
             raise exc
 
         parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = refuse_entity
         try:
-            parser.Parse(text, True)
+            parser.Parse(data, True)
+        except expat.ExpatError as exc:
+            exc.byte_index = getattr(exc, "byte_index", parser.ErrorByteIndex)
+            raise
         finally:  # break the parser-handler cycle, so the pass is freed without the GC
             parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = None
 
@@ -497,25 +487,26 @@ class _ArticlePass:
 def parse_article(data: bytes, source: str = "<bytes>") -> ParsedArticle:
     """Parse one JATS article file into a ParsedArticle, in one expat pass.
 
-    Raises XmlParseError for malformed XML (with an approximate byte offset),
+    Raises XmlParseError for malformed XML (with the error's byte offset),
     an undefined or external entity included, and ArticleStructureError when
     the root is not <article>, the article metadata block is missing, or
     elements nest deeper than MAX_DEPTH.
-    Input is treated as UTF-8; undecodable bytes are replaced and noted as an
-    issue rather than failing the file.
+    Input is read as UTF-8 whatever encoding it declares; undecodable bytes
+    are replaced and noted as an issue rather than failing the file.
     """
     issues: list[str] = []
+    utf8 = data
     try:
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError:
-        text = data.decode("utf-8", errors="replace")
+        utf8 = data.decode("utf-8", errors="replace").encode("utf-8")
         issues.append("input was not valid UTF-8; bad bytes replaced")
-    text = _ENCODING_DECL.sub(r"\1", text, count=1)
     state = _ArticlePass()
     try:
-        state.run(text)
+        state.run(utf8)
     except expat.ExpatError as exc:
-        raise XmlParseError(source, _byte_offset(data, exc.lineno, exc.offset), str(exc)) from exc
+        at = exc.byte_index if exc.byte_index >= 0 else len(utf8)
+        raise XmlParseError(source, min(at, len(data)), str(exc)) from exc
 
     root, article_type = state.root
     if root != "article":

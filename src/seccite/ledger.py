@@ -252,20 +252,19 @@ def merge(left: Ledger, right: Ledger) -> Ledger:
     return result
 
 
+def _modal(counts: Mapping | None, default):
+    """The most counted key, ties broken to the smallest; default if none."""
+    return min(counts.items(), key=lambda item: (-item[1], item[0]))[0] if counts else default
+
+
 def resolve_cited_year(ledger: Ledger, doi: str) -> int | None:
     """Modal cited-year across citing references; ties break to the earliest."""
-    years = ledger.cited_years.get(doi)
-    if not years:
-        return None
-    return min(years.items(), key=lambda item: (-item[1], item[0]))[0]
+    return _modal(ledger.cited_years.get(doi), None)
 
 
 def modal_cited_journal(ledger: Ledger, doi: str) -> str:
     """Modal cited-journal title; ties break lexicographically. "" if unseen."""
-    journals = ledger.cited_journals.get(doi)
-    if not journals:
-        return ""
-    return min(journals.items(), key=lambda item: (-item[1], item[0]))[0]
+    return _modal(ledger.cited_journals.get(doi), "")
 
 
 # ---------------------------------------------------------------------------

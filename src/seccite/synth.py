@@ -388,10 +388,17 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> GroundTruth:
     """Write a deterministic synthetic corpus and return its expected ledger.
 
     Every emitted file is a valid parse_article input. The returned ledger is
-    computed from the placement plan, never by parsing the files.
+    computed from the placement plan, never by parsing the files. Raises
+    ValueError before writing if out_dir holds an .xml file it would not write.
     """
     spec.validate()
     out_dir = Path(out_dir)
+    for path in sorted(out_dir.rglob("*.xml")):
+        index = path.name[len("article_"):-len(".xml")]
+        if not (index.isdecimal() and int(index) < spec.article_count
+                and path == out_dir / f"article_{int(index):05d}.xml"):
+            raise ValueError(f"out_dir {out_dir} already holds {path}, "
+                             "which this corpus would not write")
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(spec.seed)
     universe = _make_universe(rng, spec)

@@ -110,6 +110,31 @@ class TestSynthCommand:
         assert not (tmp_path / "out").exists()
 
 
+    def test_out_dir_holding_other_articles_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert run("synth", "--out-dir", str(out), "--articles", "30") == 0
+
+        def files() -> dict[Path, bytes]:
+            return {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        before = files()
+        capsys.readouterr()
+        assert run("synth", "--out-dir", str(out), "--articles", "10") == 1
+        assert capsys.readouterr().err == (
+            f"seccite: error: out_dir {out} already holds {out / 'article_00010.xml'}, "
+            "which this corpus would not write\n"
+        )
+        assert files() == before
+        assert run("synth", "--out-dir", str(out), "--articles", "30") == 0
+        assert files() == before
+        assert run("synth", "--out-dir", str(out), "--articles", "40") == 0
+        nested = out / "old" / "article_00001.xml"
+        nested.parent.mkdir()
+        nested.write_bytes(b"<article/>")
+        assert run("synth", "--out-dir", str(out), "--articles", "40") == 1
+        assert f"already holds {nested}," in capsys.readouterr().err
+
+
 class TestIngestCommand:
     def test_ledger_matches_ground_truth_files(self, corpus, ingested):
         assert ledger_bytes(ingested) == ledger_bytes(corpus / "ground_truth")
@@ -368,6 +393,22 @@ class TestIngestCommand:
                      for cells in records]
         assert [cells[:2] for cells in unescaped] == [["MALFORMED", str(bad)], ["ISSUE", str(odd)]]
         assert unescaped[0][2].startswith(f"{bad}: malformed XML")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_file_name_that_is_not_utf8_is_escaped_in_the_log(self, tmp_path, workers):
+        corpus = tmp_path / "c"
+        assert run("synth", "--out-dir", str(corpus), "--articles", "3") == 0
+        (corpus / os.fsdecode(b"bad\xff.xml")).write_bytes(b"<article><unclosed>")
+        out = tmp_path / "out"
+        assert run("ingest", "--corpus-dir", str(corpus), "--output-dir", str(out),
+                   "--workers", workers) == 0
+        log = (out / "ingest_log.txt").read_bytes().decode("utf-8")
+        malformed = [line.split("\t") for line in log.splitlines()
+                     if line.startswith("MALFORMED")]
+        shown = f"{corpus}/bad\\xff.xml"
+        assert [cells[1] for cells in malformed] == [shown]
+        assert malformed[0][2].startswith(f"{shown}: malformed XML")
+        assert ledger_bytes(out) == ledger_bytes(corpus / "ground_truth")
 
     def test_worker_entry_runs_in_a_spawned_process(self, corpus):
         # A spawned (or forkserver) worker imports seccite.cli afresh and never

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -75,6 +76,17 @@ class TestParseArticle:
             parse_article(data, "broken.xml")
         assert "broken.xml" in str(excinfo.value)
         assert 0 <= excinfo.value.byte_offset <= len(data)
+
+    @pytest.mark.parametrize("data, offset, column", [
+        (b'<?xml version="1.0" encoding="UTF-8"?><article><front></article>', 56, 56),
+        ("<article><p>caf\xe9 \u2013 \xfcber</q></article>".encode("utf-8"), 29, 25),
+    ], ids=["line-1-after-declaration", "after-non-ascii-text"])
+    def test_offset_is_exact(self, data, offset, column):
+        with pytest.raises(XmlParseError) as excinfo:
+            parse_article(data, "broken.xml")
+        assert excinfo.value.byte_offset == offset
+        assert data[offset - 2:offset] == b"</"  # expat points at the end tag's name
+        assert str(excinfo.value).endswith(f"mismatched tag: line 1, column {column}")
 
     def test_missing_article_meta_is_structural_error(self):
         xml = b'<article article-type="research-article"><front></front><body/></article>'
@@ -510,6 +522,17 @@ def mutated_articles(draw) -> bytes:
 def test_mutated_article_parses_or_raises_jats_error(data):
     try:
         parse_article(data, "fuzz.xml")
+    except XmlParseError as exc:
+        assert 0 <= exc.byte_offset <= len(data)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return  # the offset is into the repaired bytes
+        # the message's position is that of the offset in the bytes
+        before = data[:exc.byte_offset].decode("utf-8")
+        line, column = re.search(r"line (\d+), column (\d+)$", str(exc)).groups()
+        assert (int(line), int(column)) == (before.count("\n") + 1,
+                                            len(before) - before.rfind("\n") - 1)
     except JatsError:
         pass
 
