@@ -5,6 +5,11 @@ lossless for the four concerns the pipeline needs (metadata, body section
 tree, reference list, located citation markers) and does no section-name
 normalization; that happens downstream.
 
+xml.etree's C parser turns the file's bytes into one element tree, and all
+four are read from it by lookup: find and iter for the front matter, the
+references and the sections, and a parent map for section nesting and marker
+adjacency. No Python code runs per element while the tree is built.
+
 Citation markers are runs of adjacent bibliographic cross-references. Two
 cross-references joined by text that is exactly a hyphen/en-dash/em-dash
 (after whitespace removal) form a range over the reference list; commas,
@@ -15,9 +20,10 @@ text, or a block-element boundary, separates markers.
 from __future__ import annotations
 
 import re
+import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Any, Container, Mapping, Sequence
-from xml.parsers import expat
+from itertools import chain
+from typing import Container, Mapping, Sequence
 
 
 class JatsError(ValueError):
@@ -126,13 +132,9 @@ def normalize_doi(raw: str | None) -> str | None:
     if raw is None:
         return None
     text = raw.strip().lower()
-    changed = True
-    while changed:
-        changed = False
-        for prefix in _DOI_PREFIXES:
-            if text.startswith(prefix):
-                text = text[len(prefix):].strip()
-                changed = True
+    while text.startswith(_DOI_PREFIXES):  # no two prefixes match at once
+        prefix = next(prefix for prefix in _DOI_PREFIXES if text.startswith(prefix))
+        text = text[len(prefix):].strip()
     if not _DOI_SHAPE.match(text):
         return None
     return text
@@ -225,17 +227,14 @@ def _resolve(
         return ()
 
 
-def _collapse(text: str) -> str:
-    """Runs of whitespace to one space, none at either end."""
-    return " ".join(text.split())
-
-
 _YEAR = re.compile(r"\d{4}")
 
 
 def _parse_year(text: str | None) -> int | None:
     if not text:
         return None
+    if len(text) == 4 and text.isdecimal():
+        return int(text)
     match = _YEAR.search(text)
     return int(match.group()) if match else None
 
@@ -253,239 +252,234 @@ MAX_DEPTH = 1000
 # Text that may join two citation xrefs into one marker, and the token it becomes.
 _JOINERS = {"": LIST_SEPARATOR, ",": LIST_SEPARATOR, ";": LIST_SEPARATOR,
             **{dash: dash for dash in RANGE_SEPARATORS}}
-_CITATION_TAGS = ("element-citation", "mixed-citation", "citation", "nlm-citation")
-# Reference fields: the tag, the kind of value it holds, and how to read that value.
-_FIELD_KINDS = {"pub-id": "doi", "ext-link": "doi", "source": "source", "year": "year"}
-_FIELD_READERS = {"doi": normalize_doi, "source": lambda text: text or None, "year": _parse_year}
-# Article metadata: the tag, and the block it is read in.
-_META_TAGS = {"journal-title": "journal-meta", "issn": "journal-meta",
-              "article-id": "article-meta"}
-_SPAN_TAGS = frozenset({"title", *_META_TAGS, *_FIELD_KINDS})
-_META_BLOCKS = ("front", "journal-meta", "article-meta")
-_BEGIN_TAGS = _SPAN_TAGS | {"pub-date", "ref-list", "ref", "citation-alternatives", "body", "sec",
-                            "xref", *_META_BLOCKS, *_CITATION_TAGS}
+# Reference fields that hold a DOI when their <tag>-type attribute says "doi".
+_DOI_FIELDS = ("pub-id", "ext-link")
+# A reference's citation elements, best kind first.
+_CITATION_RANK = {tag: rank for rank, tag in enumerate(
+    ("element-citation", "mixed-citation", "citation", "nlm-citation"))}
 
 
-class _ArticlePass:
-    """State of parse_article's one expat pass over a file.
+def _build_tree(data: bytes) -> ET.Element:
+    """Parse `data` as UTF-8, whatever encoding it declares, into an element
+    tree whose tags are local names. An undefined or external entity is a
+    ParseError."""
+    parser = ET.XMLParser(encoding="utf-8")
+    parser.feed(data)
+    root = parser.close()
+    # Only an xmlns attribute declares a namespace, written out or in an
+    # entity's text; without either, every tag is a local name already.
+    if b"xmlns" in data or b"<!ENTITY" in data:
+        for element in root.iter():
+            element.tag = element.tag.rpartition("}")[2]
+    return root
 
-    Character data goes straight into ``texts``; an element's text is the
-    slice of ``texts`` between its start and its end, a ``[start, end]`` span
-    read after the pass. ``stack`` holds a ``(tag, payload)`` frame per open
-    element: ``_begin`` returns the payload (a span, a draft or True) of an
-    element that matters, and ``end`` finishes it. An untyped xref is a
-    citation only if all its rids name references, so ``markers`` folds the
-    xrefs once the reference list is known.
+
+def _too_deep(root: ET.Element) -> bool:
+    """Whether elements nest deeper than MAX_DEPTH, `root` being depth 1."""
+    if len(list(root.iter())) <= MAX_DEPTH:  # no deeper than there are elements
+        return False
+    level = [root]
+    for _ in range(MAX_DEPTH):  # then one level deeper each time
+        level = list(chain.from_iterable(level))
+        if not level:
+            return False
+    return True
+
+
+def _text(element: ET.Element) -> str:
+    """All the text inside `element`, each run of whitespace made one space,
+    none at either end."""
+    return " ".join(("".join(element.itertext()) if len(element) else element.text or "").split())
+
+
+def _outermost(root: ET.Element, tag: str) -> list[ET.Element]:
+    """The `tag` elements of `root` that lie inside no other `tag` element."""
+    inner: set[ET.Element] = set()
+    outer = []
+    for element in root.iter(tag):
+        if element not in inner:
+            outer.append(element)
+            inner.update(element.iter(tag))
+    return outer
+
+
+def _record(root: ET.Element, source: str) -> ArticleRecord:
+    """The article metadata of the first front's first journal- and article-meta."""
+    front = root.find("front")
+    article_meta = None if front is None else front.find("article-meta")
+    if article_meta is None:
+        raise ArticleStructureError(source, "missing front/article-meta block")
+    journal_meta = front.find("journal-meta")
+    if journal_meta is None:
+        journal_meta = ET.Element("journal-meta")  # read as an empty block
+    issns = (part.strip() for issn in journal_meta.iter("issn") for part in _text(issn).split(";"))
+    doi = next((e for e in article_meta.iter("article-id") if e.get("pub-id-type") == "doi"), None)
+    years = (_parse_year(_text(year)) for date in article_meta.iter("pub-date")
+             if (year := date.find("year")) is not None)
+    return ArticleRecord(
+        source_path=source,
+        article_type=root.get("article-type") or "",
+        journal_title=next(filter(None, map(_text, journal_meta.iter("journal-title"))), ""),
+        issn_list=tuple(dict.fromkeys(filter(None, issns))),
+        doi=None if doi is None else normalize_doi(_text(doi)),
+        pub_year=next((year for year in years if year is not None), None),
+    )
+
+
+def _references(root: ET.Element, issues: list[str]) -> list[ReferenceEntry]:
+    """Every ref inside a ref-list, in document order. Each is read from its
+    first citation of the best kind, direct or in a <citation-alternatives>:
+    each field from the first element that gives it a value."""
+    references: list[ReferenceEntry] = []
+    seen: set[str] = set()
+    anon = 0
+    for ref in (ref for ref_list in _outermost(root, "ref-list") for ref in ref_list.iter("ref")):
+        ref_id = ref.get("id") or ""
+        if not ref_id:
+            anon += 1
+            ref_id = f"_anon{anon}"
+        if ref_id in seen:
+            issues.append(f"duplicate reference id {ref_id!r}; later entry kept unresolvable")
+            ref_id = f"{ref_id}__dup{len(references)}"
+        seen.add(ref_id)
+        best, rank = None, len(_CITATION_RANK)
+        for child in ref[:]:
+            for cite in child[:] if child.tag == "citation-alternatives" else (child,):
+                if _CITATION_RANK.get(cite.tag, rank) < rank:
+                    best, rank = cite, _CITATION_RANK[cite.tag]
+        doi = source = year = None
+        for field in () if best is None else best.iter():
+            tag = field.tag
+            if tag == "source":
+                source = source or _text(field) or None
+            elif tag == "year":
+                year = _parse_year(_text(field)) if year is None else year
+            elif doi is None and tag in _DOI_FIELDS and field.get(tag + "-type") == "doi":
+                doi = normalize_doi(_text(field))
+        references.append(ReferenceEntry(
+            ref_id, doi, source, year, None if best is None else best.get("publication-type"),
+        ))
+    return references
+
+
+def _citation_xrefs(root: ET.Element) -> tuple[list[tuple[ET.Element, list[str], bool]], set]:
+    """(xref, rids, typed) per citation xref, and the elements inside them.
+
+    A citation xref has rids and no ref-type other than bibr; one inside
+    another is read as part of it. An untyped one cites only if all its rids
+    name references, which the caller checks.
     """
+    xrefs = []
+    inside: set[ET.Element] = set()
+    for xref in root.iter("xref"):
+        ref_type = xref.get("ref-type")
+        rids = (xref.get("rid") or "").split()
+        if xref in inside or not rids or ref_type not in (None, "bibr"):
+            continue
+        xrefs.append((xref, rids, ref_type is not None))
+        if len(xref):
+            inside.update(xref.iter())
+    return xrefs, inside
 
-    def __init__(self) -> None:
-        self.texts: list[str] = []
-        self.stack: list[tuple[str, Any]] = []
-        self.root = ("", "")  # (tag, article-type)
-        self.too_deep = False
-        self.seen: set[str] = set()  # the root's first front, its first journal-/article-meta
-        self.region: str | None = None  # which of those is open
-        self.meta: dict[str, list[list[int]]] = {tag: [] for tag in _META_TAGS}
-        self.pub_dates: list[list] = []  # a [year span or None] slot per pub-date
-        self.ref_lists = 0
-        self.refs: list[tuple[str, list[list]]] = []  # (id, candidate citations) per ref
-        self.fields: list[tuple[str, list[int]]] = []  # (kind, span) inside a citation
-        self.citing = 0
-        self.in_body = 0
-        self.sections: dict[str, list] = {}  # id -> [depth, sec-type, title span, children]
-        self.roots: list[str] = []
-        self.open_sections: list[str] = []
-        self.blocks = 0  # starts and ends of non-inline elements so far
-        self.in_xref = False  # inside a citation xref, which is read as a whole
-        # [rids, typed, outer section, text start, text end, blocks at start, at end]
-        self.xrefs: list[list] = []
 
-    def run(self, data: bytes) -> None:
-        """Parse `data` as UTF-8; an ExpatError raised carries its `byte_index`."""
-        parser = expat.ParserCreate("utf-8", namespace_separator="}")  # names come as "uri}local"
-        parser.buffer_text = True
-        parser.CharacterDataHandler = self.texts.append
-        parser.StartElementHandler = self.start
-        parser.EndElementHandler = self.end
+def _section_tree(root: ET.Element, parents: Mapping, inside_xrefs: set):
+    """The sections, sec elements inside a body and outside citation xrefs,
+    numbered in document order; and each xref's outer section."""
+    found: dict[ET.Element, list] = {}  # sec -> [id, depth, sec-type, title, children]
+    roots: list[str] = []
+    for sec in (sec for body in _outermost(root, "body") for sec in body.iter("sec")
+                if sec not in inside_xrefs):
+        node_id = f"s{len(found) + 1}"
+        above = parents.get(sec)
+        while above is not None and above not in found:
+            above = parents.get(above)
+        (roots if above is None else found[above][4]).append(node_id)
+        title = sec.find("title")
+        found[sec] = [node_id, 1 if above is None else found[above][1] + 1, sec.get("sec-type"),
+                      None if title is None else _text(title), []]
+    nodes = {node_id: SectionNode(node_id, depth, sec_type, title, tuple(children))
+             for node_id, depth, sec_type, title, children in found.values()}
+    outer_of = {xref: node_id for sec, (node_id, depth, *_) in found.items() if depth == 1
+                for xref in sec.iter("xref")}
+    return SectionTree(nodes, tuple(roots)), outer_of
 
-        def refuse_entity(name: str, *_: object) -> None:
-            # With an external DTD, expat skips an undefined or external entity
-            # without a word; dropping `&ndash;` can turn a range into a list.
-            # An external entity's name comes last in a \f-separated context.
-            line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
-            name = name.rpartition("\f")[2]
-            exc = expat.ExpatError(f"undefined entity &{name};: line {line}, column {column}")
-            exc.byte_index = parser.CurrentByteIndex  # the parser moves on once this is raised
-            raise exc
 
-        parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = refuse_entity
-        try:
-            parser.Parse(data, True)
-        except expat.ExpatError as exc:
-            exc.byte_index = getattr(exc, "byte_index", parser.ErrorByteIndex)
-            raise
-        finally:  # break the parser-handler cycle, so the pass is freed without the GC
-            parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = None
+def _gap(first: ET.Element, second: ET.Element, parents: Mapping) -> str | None:
+    """The text between the end of `first` and the start of `second`, which
+    follows it, or None when a non-inline element starts or ends in between."""
+    parent = parents[first]
+    if parents.get(second) is parent:  # the common case: adjacent siblings
+        kids = parent[:]
+        if kids[kids.index(first) + 1] is second:
+            return first.tail or ""
+    path = {}  # each ancestor of `second` -> its child on the way down
+    node = second
+    while node in parents:
+        path[parents[node]] = node
+        node = parents[node]
+    pieces = []
 
-    def start(self, name: str, attrs: dict[str, str]) -> None:
-        tag = name.rpartition("}")[2]
-        stack = self.stack
-        payload = None
-        if not stack:
-            self.root = (tag, attrs.get("article-type") or "")
-        elif tag in _BEGIN_TAGS:
-            payload = self._begin(tag, stack[-1], len(stack), attrs)
-        if tag not in _INLINE_TAGS:
-            self.blocks += 1
-        stack.append((tag, payload))
-        if len(stack) > MAX_DEPTH:
-            self.too_deep = True
+    def between(kids: list[ET.Element]) -> bool:  # whole elements, with their tails
+        for kid in kids:
+            if any(element.tag not in _INLINE_TAGS for element in kid.iter()):
+                return False
+            pieces.extend(kid.itertext())
+            pieces.append(kid.tail or "")
+        return True
 
-    def _begin(self, tag: str, parent: tuple[str, Any], parent_depth: int, attrs: dict[str, str]):
-        """The payload of an element below the root whose tag is in _BEGIN_TAGS."""
-        parent_tag, above = parent
-        if tag in _SPAN_TAGS:
-            span = [len(self.texts), 0]
-            if tag in _FIELD_KINDS:
-                doi = attrs.get(tag + "-type") == "doi"
-                if self.citing and (doi or tag in ("source", "year")):
-                    self.fields.append((_FIELD_KINDS[tag], span))
-                if tag == "year" and parent_tag == "pub-date" and above and above[0] is None:
-                    above[0] = span
-            elif tag == "title":
-                if parent_tag == "sec" and above is not None and above[2] is None:
-                    above[2] = span
-            elif self.region == _META_TAGS[tag] and (
-                tag != "article-id" or attrs.get("pub-id-type") == "doi"
-            ):
-                self.meta[tag].append(span)
-            return span
-        if tag == "xref":
-            rids = (attrs.get("rid") or "").split()
-            if self.in_xref or not rids or attrs.get("ref-type", "bibr") != "bibr":
-                return None
-            self.in_xref = True
-            outer = self.open_sections[0] if self.open_sections else None
-            self.xrefs.append(
-                [rids, "ref-type" in attrs, outer, len(self.texts), 0, self.blocks, 0]
-            )
-            return self.xrefs[-1]
-        if tag in _CITATION_TAGS and above and parent_tag in ("ref", "citation-alternatives"):
-            self.citing += 1
-            above[1].append([tag, attrs.get("publication-type"), len(self.fields), 0])
-            return above[1][-1]
-        if tag == "ref" and self.ref_lists:
-            self.refs.append((attrs.get("id") or "", []))
-            return self.refs[-1]
-        if tag == "citation-alternatives" and parent_tag == "ref":
-            return above
-        if tag == "ref-list":
-            self.ref_lists += 1
-            return True
-        if tag == "sec" and self.in_body and not self.in_xref:
-            node_id = f"s{len(self.sections) + 1}"
-            opened = self.open_sections
-            (self.sections[opened[-1]][3] if opened else self.roots).append(node_id)
-            self.sections[node_id] = [len(opened) + 1, attrs.get("sec-type"), None, []]
-            opened.append(node_id)
-            return self.sections[node_id]
-        if tag == "body" and not self.in_xref:
-            self.in_body += 1
-            return True
-        if tag == "pub-date" and self.region == "article-meta":
-            self.pub_dates.append([None])
-            return self.pub_dates[-1]
-        if tag in _META_BLOCKS and tag not in self.seen and (
-            parent_depth == 1 if tag == "front" else parent == ("front", True)
-        ):
-            self.seen.add(tag)
-            self.region = tag
-            return True
-        return None
+    node = first
+    while True:  # up from `first`, closing its ancestors, to the one they share
+        parent = parents[node]
+        kids = parent[:]
+        stop = kids.index(path[parent]) if parent in path else len(kids)
+        pieces.append(node.tail or "")
+        if not between(kids[kids.index(node) + 1:stop]):
+            return None
+        if parent in path:
+            break
+        if parent.tag not in _INLINE_TAGS:
+            return None
+        node = parent
+    node = path[parent]
+    while node is not second:  # down to `second`, opening its ancestors
+        if node.tag not in _INLINE_TAGS:
+            return None
+        pieces.append(node.text or "")
+        kids = node[:]
+        if not between(kids[:kids.index(path[node])]):
+            return None
+        node = path[node]
+    return "".join(pieces)
 
-    def end(self, name: str) -> None:
-        tag, payload = self.stack.pop()
-        if tag not in _INLINE_TAGS:
-            self.blocks += 1
-        if payload is None:
-            return
-        if tag in _SPAN_TAGS:
-            payload[1] = len(self.texts)
-        elif tag == "xref":
-            payload[4], payload[6] = len(self.texts), self.blocks
-            self.in_xref = False
-        elif tag == "sec":
-            self.open_sections.pop()
-        elif tag in _CITATION_TAGS:
-            payload[3] = len(self.fields)
-            self.citing -= 1
-        elif tag == "body":
-            self.in_body -= 1
-        elif tag == "ref-list":
-            self.ref_lists -= 1
-        elif tag in _META_BLOCKS:
-            self.region = None
 
-    def text(self, span: list[int]) -> str:
-        return _collapse("".join(self.texts[span[0]:span[1]]))
-
-    def references(self, issues: list[str]) -> list[ReferenceEntry]:
-        references: list[ReferenceEntry] = []
-        seen: set[str] = set()
-        anon = 0
-        for ref_id, cites in self.refs:
-            if not ref_id:
-                anon += 1
-                ref_id = f"_anon{anon}"
-            if ref_id in seen:
-                issues.append(f"duplicate reference id {ref_id!r}; later entry kept unresolvable")
-                ref_id = f"{ref_id}__dup{len(references)}"
-            seen.add(ref_id)
-            # the first citation of the best kind, direct or in <citation-alternatives>
-            best = min(cites, key=lambda cite: _CITATION_TAGS.index(cite[0]), default=None)
-            _, pub_type, first, last = best or ("", None, 0, 0)
-            found: dict[str, object] = {}
-            for kind, span in self.fields[first:last]:
-                if found.get(kind) is None:
-                    found[kind] = _FIELD_READERS[kind](self.text(span))
-            references.append(ReferenceEntry(
-                ref_id, found.get("doi"), found.get("source"), found.get("year"), pub_type
-            ))
-        return references
-
-    def section_tree(self) -> SectionTree:
-        nodes = {
-            node_id: SectionNode(node_id, depth, sec_type, title and self.text(title), tuple(kids))
-            for node_id, (depth, sec_type, title, kids) in self.sections.items()
-        }
-        return SectionTree(nodes, tuple(self.roots))
-
-    def markers(self, known: Container[str]) -> list[tuple[str | None, _Pairs]]:
-        """(outer section, pairs) per run of citation xrefs with no block
-        boundary and only a separator between."""
-        texts = self.texts
-        markers: list[tuple[str | None, _Pairs]] = []
-        pairs: list[tuple[str | None, str]] = []
-        last_end, last_blocks = 0, -1
-        for rids, typed, outer, start, end, blocks, blocks_after in self.xrefs:
-            if not typed and not all(rid in known for rid in rids):
-                last_blocks = -1  # an xref to something else is a block boundary
-                continue
-            sep = None
-            if blocks == last_blocks:
-                sep = _JOINERS.get("".join("".join(texts[last_end:start]).split()))
-            if sep is None:
-                pairs = []
-                markers.append((outer, pairs))
-            for rid in rids:
-                pairs.append((sep, rid))
-                sep = LIST_SEPARATOR
-            last_end, last_blocks = end, blocks_after
-        return markers
+def _markers(xrefs: list, outer_of: Mapping, parents: Mapping,
+             known: Container[str]) -> list[tuple[str | None, _Pairs]]:
+    """(outer section, pairs) per run of citation xrefs with no block
+    boundary and only a joiner between."""
+    markers: list[tuple[str | None, _Pairs]] = []
+    pairs: list[tuple[str | None, str]] = []
+    previous = None
+    for xref, rids, typed in xrefs:
+        if not typed and not all(rid in known for rid in rids):
+            previous = None  # an xref to something else is a block boundary
+            continue
+        sep = None
+        # the text between two xrefs starts with the first one's tail
+        if previous is not None and "".join((previous.tail or "").split()) in _JOINERS:
+            gap = _gap(previous, xref, parents)
+            sep = None if gap is None else _JOINERS.get("".join(gap.split()))
+        if sep is None:
+            pairs = []
+            markers.append((outer_of.get(xref), pairs))
+        for rid in rids:
+            pairs.append((sep, rid))
+            sep = LIST_SEPARATOR
+        previous = xref
+    return markers
 
 
 def parse_article(data: bytes, source: str = "<bytes>") -> ParsedArticle:
-    """Parse one JATS article file into a ParsedArticle, in one expat pass.
+    """Parse one JATS article file into a ParsedArticle, from its element tree.
 
     Raises XmlParseError for malformed XML (with the error's byte offset),
     an undefined or external entity included, and ArticleStructureError when
@@ -501,40 +495,30 @@ def parse_article(data: bytes, source: str = "<bytes>") -> ParsedArticle:
     except UnicodeDecodeError:
         utf8 = data.decode("utf-8", errors="replace").encode("utf-8")
         issues.append("input was not valid UTF-8; bad bytes replaced")
-    state = _ArticlePass()
     try:
-        state.run(utf8)
-    except expat.ExpatError as exc:
-        at = exc.byte_index if exc.byte_index >= 0 else len(utf8)
+        root = _build_tree(utf8)
+    except ET.ParseError as exc:
+        # expat ends a line at LF, CR or CR LF, as bytes.splitlines does, and
+        # counts a column per character
+        line, column = exc.position
+        start = sum(map(len, utf8.splitlines(keepends=True)[:line - 1]))
+        at = start + len(utf8[start:].decode("utf-8")[:column].encode("utf-8"))
         raise XmlParseError(source, min(at, len(data)), str(exc)) from exc
-
-    root, article_type = state.root
-    if root != "article":
-        raise ArticleStructureError(source, f"root element is {root!r}, not article")
-    if "article-meta" not in state.seen:
-        raise ArticleStructureError(source, "missing front/article-meta block")
-    if state.too_deep:
+    if root.tag != "article":
+        raise ArticleStructureError(source, f"root element is {root.tag!r}, not article")
+    record = _record(root, source)
+    if _too_deep(root):
         raise ArticleStructureError(source, "element nesting too deep")
 
-    meta = {tag: [state.text(span) for span in spans] for tag, spans in state.meta.items()}
-    issns = (part.strip() for issn in meta["issn"] for part in issn.split(";"))
-    years = (_parse_year(state.text(span)) for span, in state.pub_dates if span)
-    record = ArticleRecord(
-        source_path=source,
-        article_type=article_type,
-        journal_title=next(filter(None, meta["journal-title"]), ""),
-        issn_list=tuple(dict.fromkeys(filter(None, issns))),
-        doi=normalize_doi(meta["article-id"][0]) if meta["article-id"] else None,
-        pub_year=next((year for year in years if year is not None), None),
-    )
-    references = state.references(issues)
+    references = _references(root, issues)
     ref_order = [ref.ref_id for ref in references]
     order = {ref_id: i for i, ref_id in enumerate(ref_order)}
+    xrefs, inside_xrefs = _citation_xrefs(root)
+    parents = {kid: parent for parent in root.iter() if len(parent) for kid in parent[:]}
+    sections, outer_of = _section_tree(root, parents, inside_xrefs)
     citations = []
-    for outer, pairs in state.markers(order):
+    for outer_id, pairs in _markers(xrefs, outer_of, parents, order):
         ref_ids = _resolve(pairs, ref_order, order, issues)
         if ref_ids:
-            citations.append(InTextCitation(outer, ref_ids))
-    return ParsedArticle(
-        record, state.section_tree(), tuple(references), tuple(citations), tuple(issues)
-    )
+            citations.append(InTextCitation(outer_id, ref_ids))
+    return ParsedArticle(record, sections, tuple(references), tuple(citations), tuple(issues))

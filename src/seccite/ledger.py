@@ -183,18 +183,22 @@ class Ledger:
             refs_by_doi[doi].cited_journal_title or "" for doi in other if doi not in recognized
         )
 
+        cohorts, journals, years = self.cohort_index, self.cited_journals, self.cited_years
         for doi, weights in per_doi.items():
             vector = self.vectors.get(doi)
             if vector is None:
                 self.vectors[doi] = weights
             else:
                 _add_weights(vector, weights)
-            self.cohort_index.setdefault(doi, set()).add((journal, year))
+            # `get` first, so that only a DOI new to the ledger gets a new container
+            (cohorts.get(doi) or cohorts.setdefault(doi, set())).add((journal, year))
             ref = refs_by_doi[doi]
             if ref.cited_journal_title:
-                self.cited_journals.setdefault(doi, Counter())[ref.cited_journal_title] += 1
+                counts = journals.get(doi) or journals.setdefault(doi, Counter())
+                counts[ref.cited_journal_title] += 1
             if ref.cited_year is not None:
-                self.cited_years.setdefault(doi, Counter())[ref.cited_year] += 1
+                counts = years.get(doi) or years.setdefault(doi, Counter())
+                counts[ref.cited_year] += 1
         if journal_weights:
             _add_weights(self.source_sections.setdefault(journal, {}), journal_weights)
         if other_titles:

@@ -8,7 +8,9 @@ Imports seccite from SRC_DIR and parses two sets of inputs:
   default articles) and long-articles (400 articles with 60-120 references
   and structure IBLMMMRRRDDDC);
 - a fixed, seeded set of mutations of those articles: truncation, splice,
-  undefined entity, bad bytes, and a declaration that names another encoding.
+  undefined entity, bad bytes, and a declaration that names another encoding;
+- after them, the fixed documents of tests/jats_forms.py: JATS forms that
+  synth never writes, and a document nested 200,000 elements deep.
 
 Each line holds the input's index, its kind, and either the sha256 of
 repr(parse_article(...)) or "ExceptionClass: message". The last line is the
@@ -23,6 +25,8 @@ import random
 import sys
 import tempfile
 from pathlib import Path
+
+from jats_forms import FORMS
 
 SEED = 7
 PER_KIND = 80
@@ -114,7 +118,8 @@ def main(argv: list[str]) -> int:
         return 1
     articles = bench_articles(CorpusSpec, generate_corpus)
     digest = hashlib.sha256()
-    for index, (kind, data) in enumerate(articles + mutations(articles)):
+    forms = [(f"form-{name}", data) for name, data in FORMS.items()]
+    for index, (kind, data) in enumerate(articles + mutations(articles) + forms):
         line = f"{index}\t{kind}\t{outcome(parse_article, data, f'input{index}.xml')}"
         print(line)
         digest.update(line.encode("utf-8") + b"\n")

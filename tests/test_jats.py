@@ -21,6 +21,7 @@ from seccite.jats import (
 )
 
 from conftest import make_article, ref_entries, xref
+from jats_forms import DEEP, FORMS
 
 
 class TestParseArticle:
@@ -95,12 +96,12 @@ class TestParseArticle:
         assert "nometa.xml" in str(excinfo.value)
 
     def test_deep_nesting_is_structural_error(self):
-        depth = 2000
-        body = "<sec><title>Methods</title>" + "<list>" * depth + "</list>" * depth + "</sec>"
-        with pytest.raises(ArticleStructureError) as excinfo:
-            parse_article(make_article(body=body), "deep.xml")
-        assert "deep.xml" in str(excinfo.value)
-        assert "nesting too deep" in str(excinfo.value)
+        for depth in (2000, DEEP):
+            body = "<sec><title>Methods</title>" + "<list>" * depth + "</list>" * depth + "</sec>"
+            with pytest.raises(ArticleStructureError) as excinfo:
+                parse_article(make_article(body=body), "deep.xml")
+            assert "deep.xml" in str(excinfo.value)
+            assert "nesting too deep" in str(excinfo.value)
 
     def test_nesting_cap_is_max_depth(self):
         def nested(depth: int) -> bytes:  # article (1) > body (2) > list > ... down to depth
@@ -141,8 +142,10 @@ class TestParseArticle:
         gc.collect()
         gc.disable()
         try:
-            parse_article(data, "cycles.xml")
-            assert gc.collect() == 0
+            # markers across inline wrappers and outside the body take other paths
+            for document in (data, FORMS["inline-markers"], FORMS["outside-body"]):
+                parse_article(document, "cycles.xml")
+                assert gc.collect() == 0
         finally:
             gc.enable()
 
@@ -343,6 +346,66 @@ class TestMarkerLocation:
         )
         article = parse_article(make_article(body=body), "order.xml")
         assert [c.ref_ids for c in article.citations] == [("r1",), ("r2",)]
+
+
+def _located(article) -> list[tuple[str | None, tuple[str, ...]]]:
+    """(outer section title, ref-ids) per citation."""
+    nodes = article.sections.nodes
+    return [(c.outer_section_node_id and nodes[c.outer_section_node_id].title_raw, c.ref_ids)
+            for c in article.citations]
+
+
+class TestFormsSynthNeverWrites:
+    """The documents of jats_forms.FORMS, which the synthetic corpora lack."""
+
+    def test_default_namespace_and_prefixed_element(self):
+        article = parse_article(FORMS["namespaced"], "ns.xml")
+        record = article.record
+        assert (record.article_type, record.journal_title, record.issn_list, record.doi,
+                record.pub_year) == ("research-article", "Form Journal", ("1234-5678",),
+                                     "10.1000/form", 2019)
+        assert [ref.cited_doi for ref in article.references] == [
+            f"10.2000/ref{n}" for n in range(1, 5)]
+        # the MathML element is a block boundary, as any non-inline element is
+        assert _located(article) == [
+            ("Methods", ("r1", "r2")), ("Methods", ("r1",)), ("Methods", ("r2",))]
+
+    def test_ext_link_doi(self):
+        article = parse_article(FORMS["ext-link-doi"], "ext.xml")
+        assert [ref.cited_doi for ref in article.references] == ["10.2000/ext1", "10.2000/ext2"]
+
+    def test_citation_and_nlm_citation_precedence(self):
+        article = parse_article(FORMS["citation-kinds"], "kinds.xml")
+        assert [(ref.cited_doi, ref.cited_journal_title, ref.cited_year, ref.pub_type_label)
+                for ref in article.references] == [
+            (None, "Citation", 2002, "book"),
+            ("10.2000/nlm", "Only NLM", None, "journal"),
+            (None, "Mixed", None, "journal"),
+        ]
+
+    def test_markers_in_and_across_inline_wrappers(self):
+        article = parse_article(FORMS["inline-markers"], "inline.xml")
+        assert [ref_ids for _, ref_ids in _located(article)] == [
+            ("r1", "r2"), ("r1", "r2"), ("r1", "r2", "r3"), ("r2", "r3", "r4"),
+            ("r1",), ("r2",), ("r3",), ("r4",)]
+
+    def test_xref_in_figure_caption_belongs_to_its_section(self):
+        article = parse_article(FORMS["figure-caption"], "fig.xml")
+        assert len(article.sections.nodes) == 1
+        assert _located(article) == [("Results", ("r1",))]
+
+    def test_abstract_and_back_matter_markers_have_no_section(self):
+        article = parse_article(FORMS["outside-body"], "back.xml")
+        assert [node.title_raw for node in article.sections.nodes.values()] == ["Methods"]
+        assert _located(article) == [
+            (None, ("r1", "r2")), ("Methods", ("r2",)), (None, ("r3",)), (None, ("r4",)),
+            (None, ("r1", "r3", "r4"))]
+
+    def test_sec_and_body_inside_citation_xref_are_not_sections(self):
+        article = parse_article(FORMS["inside-xref"], "inside.xml")
+        (node,) = article.sections.nodes.values()
+        assert (node.title_raw, node.depth, node.children) == ("Introduction", 1, ())
+        assert _located(article) == [(None, ("r3",)), ("Introduction", ("r1", "r2"))]
 
 
 class TestRangeExpansion:
