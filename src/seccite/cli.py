@@ -34,6 +34,8 @@ _HOMES = {
     **_PUBLIC_HOMES,
     "JatsError": "jats",
     "ledger_files": "ledger",
+    "tsv_lines": "ledger",
+    "write_files": "ledger",
     "CORRELATION_AXES": "metrics",
     "MIN_YEAR": "metrics",
     "SHARE_COLUMNS": "metrics",
@@ -352,7 +354,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                          for path_text, text in sorted(records))
     # A byte of a file name that is not UTF-8 is written as \xNN.
     log = ("\n".join(log_lines) + "\n").encode("utf-8", "surrogateescape")
-    (output_dir / "ingest_log.txt").write_text(log.decode("utf-8", "backslashreplace"), "utf-8")
+    write_files(output_dir, {"ingest_log.txt": [log.decode("utf-8", "backslashreplace")]})
 
     for line in log_lines[:6]:
         print("seccite: " + line.replace("\t", " "), file=sys.stderr)
@@ -382,13 +384,6 @@ def _fmt(value: float | None) -> str:
 
 def _ratio(fraction) -> str:
     return f"{fraction.numerator}/{fraction.denominator}"
-
-
-def _write_tsv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\t".join(header) + "\n")
-        for row in rows:
-            handle.write("\t".join(row) + "\n")
 
 
 def _stats_files(bundle: dict):
@@ -524,12 +519,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
         ],
     }
 
-    output_dir.mkdir(parents=True, exist_ok=True)
-    (output_dir / "report.json").write_text(
-        json.dumps(bundle, sort_keys=True, indent=2) + "\n", "utf-8"
-    )
-    for name, header, rows in _stats_files(bundle):
-        _write_tsv(output_dir / name, header, rows)
+    # One group: a failed write leaves the previous run's 13 outputs as they were.
+    write_files(output_dir, {
+        "report.json": [json.dumps(bundle, sort_keys=True, indent=2) + "\n"],
+        **{name: tsv_lines(name, header, rows) for name, header, rows in _stats_files(bundle)},
+    })
 
     for note in _notes(bundle):
         print(f"seccite: note: {note}", file=sys.stderr)
@@ -575,11 +569,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     truth = generate_corpus(spec, args.out_dir)
     truth_dir = Path(args.out_dir) / "ground_truth"
     write_ledger(truth.ledger, truth_dir)
-    summary = {k: truth.stats.get(k, 0) for k in
-               ("documents", "research_articles", "references", "references_with_doi")}
-    (truth_dir / "stats.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", "utf-8"
-    )
+    summary = json.dumps(truth.stats, sort_keys=True, indent=2) + "\n"
+    write_files(truth_dir, {"stats.json": [summary]})
     print(
         f"seccite: wrote {len(truth.files)} articles to {args.out_dir} "
         f"(ground truth in {truth_dir})",
@@ -664,7 +655,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         out = _render_report(json.loads(args.input.read_text("utf-8")))
     except KeyError as exc:
         raise CliError(f"{args.input}: not a seccite report bundle (missing {exc})") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
         raise CliError(f"{args.input}: not a seccite report bundle ({exc})") from exc
     print("\n".join(out))
     return 0

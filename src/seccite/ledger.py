@@ -355,38 +355,55 @@ def ledger_files(directory: str | Path) -> list[Path]:
     return [Path(directory) / f"ledger{part}.tsv" for part in _FILES]
 
 
-def write_ledger(ledger: Ledger, directory: str | Path) -> list[Path]:
-    """Write the ledger and its sidecars as TSV files; returns written paths.
+def tsv_lines(name: str, header: list[str], rows: Iterable[Iterable[str]]) -> Iterator[str]:
+    """The header and each row of file `name` as tab-joined lines. Raises
+    ValueError naming the file for a cell that holds a tab or newline (a tab
+    inside a cell adds one to its row's count)."""
+    yield "\t".join(header) + "\n"
+    for cells in rows:
+        line = "\t".join(cells)
+        if line.count("\t") != len(header) - 1 or "\n" in line:
+            raise ValueError(f"{name}: a cell of {line!r} holds a tab or newline")
+        yield line + "\n"
 
-    Each file is written as ledger<part>.tsv.tmp and all five are renamed into
-    place at the end, so a failed write leaves no temporary file and any
-    earlier ledger as it was. Raises ValueError for a ledger that would not
-    read back unchanged: cohort_index keys other than the vectors keys, a
-    cited_journals or cited_years DOI not in vectors, a tab or newline in any
-    cell (a tab inside a cell adds one to its row's count), an ISSN that is
-    empty or holds ';', or source_issns keys other than the journals in
-    source_sections or source_other.
+
+def write_files(directory: str | Path, files: Mapping[str, Iterable[str]]) -> list[Path]:
+    """Write each file of `directory` from its lines; returns written paths.
+
+    Each file is written as <name>.tmp and all of them are renamed into place
+    at the end. A failed write or rename raises and leaves no temporary file;
+    a failed write also leaves every earlier file of the group as it was.
     """
-    _check_keys(ledger)
     Path(directory).mkdir(parents=True, exist_ok=True)
-    paths = ledger_files(directory)
+    paths = [Path(directory) / name for name in files]
     temps = [path.with_name(path.name + ".tmp") for path in paths]
     try:
-        for temp, (header, rows) in zip(temps, _FILES.values()):
+        for temp, lines in zip(temps, files.values()):
             with temp.open("w", encoding="utf-8", newline="\n") as handle:
-                handle.write("\t".join(header) + "\n")
-                for cells in rows(ledger):
-                    line = "\t".join(cells)
-                    if line.count("\t") != len(header) - 1 or "\n" in line:
-                        raise ValueError(f"{temp.stem}: a cell of {line!r} holds a tab or newline")
-                    handle.write(line + "\n")
+                handle.writelines(lines)
+        for temp, path in zip(temps, paths):
+            temp.replace(path)
     except BaseException:
         for temp in temps:
             temp.unlink(missing_ok=True)
         raise
-    for temp, path in zip(temps, paths):
-        temp.replace(path)
     return paths
+
+
+def write_ledger(ledger: Ledger, directory: str | Path) -> list[Path]:
+    """Write the ledger and its sidecars through write_files; returns their paths.
+
+    Raises ValueError for a ledger that would not read back unchanged:
+    cohort_index keys other than the vectors keys, a cited_journals or
+    cited_years DOI not in vectors, a tab or newline in any cell, an ISSN that
+    is empty or holds ';', or source_issns keys other than the journals in
+    source_sections or source_other.
+    """
+    _check_keys(ledger)
+    return write_files(directory, {
+        path.name: tsv_lines(path.name, header, rows(ledger))
+        for path, (header, rows) in zip(ledger_files(directory), _FILES.values())
+    })
 
 
 def _read_rows(path: Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .ledger import Ledger
+from .ledger import Ledger, tsv_lines, write_files
 from .sections import CanonicalSection
 
 # Escapes &, < and >, as xml.sax.saxutils.escape does, whose import would pull
@@ -123,11 +123,8 @@ CLASSIFICATION_ROWS: tuple[tuple[str, str, str, str], ...] = tuple(
 def write_classification(path: str | Path) -> Path:
     """Write the classification fixture matching the generator's journals."""
     path = Path(path)
-    lines = ["journal_title\tissn\tessn\tfield"]
-    for title, issn, essn, fld in CLASSIFICATION_ROWS:
-        lines.append(f"{title}\t{issn}\t{essn}\t{fld}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    lines = tsv_lines(path.name, ["journal_title", "issn", "essn", "field"], CLASSIFICATION_ROWS)
+    return write_files(path.parent, {path.name: lines})[0]
 
 
 # Structure token -> (canonical section, sec-type attribute values, recognizable titles).
@@ -405,7 +402,8 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> GroundTruth:
 
     truth = Ledger()
     files: list[Path] = []
-    stats = Counter()
+    stats = dict.fromkeys(
+        ("documents", "research_articles", "references", "references_with_doi"), 0)
 
     for article_index in range(spec.article_count):
         plan = _plan_article(rng, spec, universe, article_index)
@@ -419,20 +417,17 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> GroundTruth:
         stats["research_articles"] += 1
         stats["references"] += len(plan.refs)
         stats["references_with_doi"] += sum(1 for w in plan.refs if w.doi is not None)
-        section_pairs, other_pairs = _account_article(truth, plan)
-        stats["section_pairs"] += section_pairs
-        stats["other_pairs"] += other_pairs
+        _account_article(truth, plan)
 
-    return GroundTruth(ledger=truth, files=tuple(files), stats=dict(stats))
+    return GroundTruth(ledger=truth, files=tuple(files), stats=stats)
 
 
-def _account_article(truth: Ledger, plan: _PlanArticle) -> tuple[int, int]:
+def _account_article(truth: Ledger, plan: _PlanArticle) -> None:
     """Fold one planned article into the expected ledger.
 
     Mirrors the counting rules from the plan side: one mention per distinct
     DOI per marker, recognized-section denominators, other-only pairs worth
-    one unit in the "other" buckets. Returns (six-section pairs, other-only
-    pairs) for this article.
+    one unit in the "other" buckets.
     """
     recognized: dict[str, dict[CanonicalSection, int]] = {}
     other: dict[str, int] = {}
@@ -475,18 +470,15 @@ def _account_article(truth: Ledger, plan: _PlanArticle) -> tuple[int, int]:
         if cited_year is not None:
             truth.cited_years.setdefault(doi, Counter())[cited_year] += 1
 
-    other_pairs = 0
     for doi in other:
         if doi in recognized:
             continue
-        other_pairs += 1
         truth.source_other[journal] = truth.source_other.get(journal, Fraction(0)) + 1
         truth.target_other[doi_meta[doi][0]] = (
             truth.target_other.get(doi_meta[doi][0], Fraction(0)) + 1
         )
     if recognized or other:
         truth.source_issns.setdefault(journal, set()).add(plan.issn)
-    return len(recognized), other_pairs
 
 
 def _article_xml(plan: _PlanArticle, rng: random.Random) -> str:

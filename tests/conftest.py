@@ -127,3 +127,17 @@ def synth_corpus(tmp_path_factory) -> tuple[Path, object]:
 def classification_file(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("classification") / "fields.tsv"
     return write_classification(path)
+
+
+def fail_second_rename(monkeypatch) -> None:
+    """Make the second Path.replace from here on raise OSError."""
+    replace = Path.replace
+    calls = []
+
+    def failing(self, target):
+        calls.append(self)
+        if len(calls) == 2:
+            raise OSError(f"cannot rename {self.name}")
+        return replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", failing)

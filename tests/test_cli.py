@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import multiprocessing
+import operator
 import os
 import re
 import shutil
@@ -28,9 +29,10 @@ from seccite import (
 )
 from seccite.cli import main
 from seccite.jats import ArticleStructureError
+from seccite.ledger import tsv_lines, write_files
 from seccite.metrics import CitedDois
 
-from conftest import make_article
+from conftest import fail_second_rename, make_article
 
 
 def run(*argv: str) -> int:
@@ -597,9 +599,54 @@ class TestStatsCommand:
         del written["report.json"]
         regenerated = {}
         for name, header, rows in cli._stats_files(json.loads((out / "report.json").read_text())):
-            cli._write_tsv(tmp_path / name, header, rows)
+            write_files(tmp_path, {name: tsv_lines(name, header, rows)})
             regenerated[name] = (tmp_path / name).read_bytes()
         assert regenerated == written
+
+    @pytest.mark.parametrize("fifth", ["oserror-before-it", "rows-raise"])
+    def test_failed_rerun_keeps_the_previous_outputs(
+        self, ingested, classification_file, tmp_path, capsys, monkeypatch, fifth
+    ):
+        out = tmp_path / "out"
+        argv = ["stats", "--ledger-dir", str(ingested),
+                "--classification", str(classification_file), "--output-dir", str(out)]
+        assert run(*argv, "--min-total", "3") == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(before) == 13
+        stats_files = cli._stats_files
+
+        def first_row_then_oserror(rows):
+            yield rows[0]
+            raise OSError("disk full")
+
+        def failing(bundle):
+            for index, (name, header, rows) in enumerate(stats_files(bundle)):
+                if index == 4:
+                    if fifth == "oserror-before-it":
+                        raise OSError("disk full")
+                    rows = first_row_then_oserror(rows)
+                yield name, header, rows
+
+        monkeypatch.setattr(cli, "_stats_files", failing)
+        capsys.readouterr()
+        assert run(*argv, "--min-total", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("seccite: error:") and err.count("\n") == 1
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_failed_rename_leaves_no_temporary_file(
+        self, ingested, classification_file, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "out"
+        argv = ["stats", "--ledger-dir", str(ingested),
+                "--classification", str(classification_file), "--output-dir", str(out)]
+        assert run(*argv, "--min-total", "3") == 0
+        fail_second_rename(monkeypatch)
+        capsys.readouterr()
+        assert run(*argv, "--min-total", "1") == 1
+        assert capsys.readouterr().err == "seccite: error: cannot rename share_source.tsv.tmp\n"
+        assert len(list(out.iterdir())) == 13
+        assert list(out.glob("*.tmp")) == []
 
 
 def write_bundle(path: Path, top_share: list[dict]) -> Path:
@@ -613,6 +660,13 @@ def write_bundle(path: Path, top_share: list[dict]) -> Path:
         "top_share": top_share,
     }), "utf-8")
     return path
+
+
+def _error_text(function, *args) -> str:
+    """The message of the ArithmeticError that function(*args) raises."""
+    with pytest.raises(ArithmeticError) as excinfo:
+        function(*args)
+    return str(excinfo.value)
 
 
 class TestReportCommand:
@@ -721,14 +775,18 @@ class TestReportCommand:
     @pytest.mark.parametrize("text, missing", [
         ("[]", "'list' object has no attribute"),
         ('{"provenance": {}}', "missing 'share'"),
-        (None, "missing 'total'"),
+        ({}, "missing 'total'"),
         ("{", "Expecting property name"),
-    ], ids=["json-list", "no-share", "top-share-without-total", "not-json"])
+        ({"total": "1/0"}, _error_text(divmod, 1, 0)),
+        ({"total": f"{10**400 + 1}/2"}, _error_text(operator.truediv, 10**400 + 1, 2)),
+    ], ids=["json-list", "no-share", "top-share-without-total", "not-json",
+            "zero-total-denominator", "total-beyond-float"])
     def test_input_that_is_not_a_bundle_is_runtime_error(self, tmp_path, capsys,
                                                          text, missing):
         path = tmp_path / "report.json"
-        if text is None:
-            write_bundle(path, [{"section": "methods", "doi": "10.1000/x", "share": 0.5}])
+        if isinstance(text, dict):  # a top-share entry's total
+            write_bundle(path, [{"section": "methods", "doi": "10.1000/x", "share": 0.5,
+                                 **text}])
         else:
             path.write_text(text, "utf-8")
         assert run("report", "--input", str(path)) == 1

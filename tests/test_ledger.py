@@ -28,7 +28,7 @@ from seccite.ledger import LEDGER_COLUMNS, ArticleTally
 from seccite.sections import SECTION_ORDER
 
 import oracles
-from conftest import make_article, random_ledger, ref_entries, xref
+from conftest import fail_second_rename, make_article, random_ledger, ref_entries, xref
 
 I = CanonicalSection.INTRODUCTION
 B = CanonicalSection.BACKGROUND
@@ -374,6 +374,14 @@ class TestRoundTrip:
             write_ledger(ledger, tmp_path)
         assert list(tmp_path.glob("*.tmp")) == []
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        _write_full_ledger(tmp_path)
+        fail_second_rename(monkeypatch)
+        with pytest.raises(OSError, match="cannot rename ledger.cohort.tsv.tmp"):
+            write_ledger(random_ledger(random.Random(6), dois=6), tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            f"ledger{part}.tsv" for part in _PARTS)
 
     @pytest.mark.parametrize("cell", ["1.5", "x/2", "1/0", "1/-3", "2", ""])
     @pytest.mark.parametrize("part, column", [("", 1), (".sources", -1), (".targets", 1)])

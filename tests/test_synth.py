@@ -67,14 +67,17 @@ class TestGroundTruth:
         assert pipeline_ledger(corpus_dir) == truth.ledger
 
     def test_weights_conserved_per_pair(self, synth_corpus):
+        # A six-section pair adds 1 to its DOI's total, to its citing journal's
+        # section weights and to its DOI's cited-journal count; an other-only
+        # pair adds 1 to both "other" buckets.
         _, truth = synth_corpus
-        total = sum(
-            (truth.ledger.total(doi) for doi in truth.ledger.dois()),
-            start=0,
-        )
-        assert total == truth.stats["section_pairs"]
-        other_total = sum(truth.ledger.source_other.values(), start=0)
-        assert other_total == truth.stats["other_pairs"]
+        ledger = truth.ledger
+        total = sum((ledger.total(doi) for doi in ledger.dois()), start=0)
+        assert total == sum(sum(c.values()) for c in ledger.cited_journals.values())
+        assert total == sum((w for c in ledger.source_sections.values() for w in c.values()),
+                            start=0)
+        other_total = sum(ledger.source_other.values(), start=0)
+        assert other_total == sum(ledger.target_other.values(), start=0)
 
     def test_stats_funnel_shape(self, synth_corpus):
         _, truth = synth_corpus
