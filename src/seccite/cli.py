@@ -22,10 +22,6 @@ from . import _HOMES as _PUBLIC_HOMES, __version__
 WORKERS_ENV = "SECCITE_WORKERS"
 
 
-class CliError(Exception):
-    """Runtime failure reported on stderr with exit code 1."""
-
-
 # Library names -> the submodule that defines each: the package's public names
 # and the others the commands call. A name becomes a global of this module only
 # when a command that runs its submodule starts or it is read from outside, so
@@ -41,7 +37,6 @@ _HOMES = {
     "SHARE_COLUMNS": "metrics",
     "cited_dois": "metrics",
     "load_name_table": "sections",
-    "DEFAULT_STRUCTURE_MIX": "synth",
     "MIN_REFS": "synth",
 }
 
@@ -133,14 +128,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="Generate a synthetic corpus + ground truth")
     synth.add_argument("--out-dir", type=Path, required=True)
-    synth.add_argument("--articles", type=_positive_int, default=200)
-    synth.add_argument("--seed", type=int, default=7)
-    synth.add_argument("--doi-coverage", type=_rate, default=0.85)
-    synth.add_argument("--range-rate", type=_rate, default=0.25)
-    synth.add_argument("--refs-min", type=_positive_int, default=6)
-    synth.add_argument("--refs-max", type=_positive_int, default=14)
-    synth.add_argument("--structure-mix", type=str, default=None,
-                       help='e.g. "IMRDC=0.5,ILM[RD]C=0.5"')
+    # A flag left out keeps CorpusSpec's default.
+    synth.add_argument("--articles", type=_positive_int)
+    synth.add_argument("--seed", type=int)
+    synth.add_argument("--doi-coverage", type=_rate)
+    synth.add_argument("--range-rate", type=_rate)
+    synth.add_argument("--refs-min", type=_positive_int)
+    synth.add_argument("--refs-max", type=_positive_int)
+    synth.add_argument("--structure-mix", type=str, help='e.g. "IMRDC=0.5,ILM[RD]C=0.5"')
 
     report = sub.add_parser("report", help="Render a report.json bundle for humans")
     report.add_argument("--input", type=Path, required=True, help="path to report.json")
@@ -159,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     _bind(args.command)
     try:
         return handlers[args.command](args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"seccite: error: {exc}", file=sys.stderr)
         return 1
 
@@ -173,14 +168,14 @@ def _load_config(path: Path | None) -> dict[str, str]:
     if path is None:
         return {}
     if not path.exists():
-        raise CliError(f"config file not found (--config): {path}")
+        raise ValueError(f"config file not found (--config): {path}")
     values = {}
     for lineno, line in enumerate(path.read_text("utf-8").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise CliError(f"{path}:{lineno}: expected key=value")
+            raise ValueError(f"{path}:{lineno}: expected key=value")
         key, _, value = stripped.partition("=")
         values[key.strip().replace("-", "_")] = value.strip()
     return values
@@ -199,14 +194,14 @@ def _resolve(args: argparse.Namespace, config: dict[str, str], key: str,
 
 
 def _convert(value, convert, source: str):
-    """convert(value), or CliError "<source><value>: <reason>" if it fails."""
+    """convert(value), or ValueError "<source><value>: <reason>" if it fails."""
     try:
         return convert(value)
     except ZeroDivisionError:
         reason = "zero denominator"
     except (ValueError, argparse.ArgumentTypeError) as exc:
         reason = str(exc)
-    raise CliError(f"{source}{value}: {reason}")
+    raise ValueError(f"{source}{value}: {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +218,7 @@ _CHUNK_FILES = 32
 MAX_FILE_BYTES = 1 << 28
 
 
-def _ingest_chunk(paths: list[str], overrides: Path | None):
+def _ingest_chunk(paths: list[str], names: dict):
     """Worker: fold a run of files into one Ledger and one funnel Counter.
 
     Returns (ledger, funnel, malformed, issues), where malformed holds a
@@ -232,10 +227,9 @@ def _ingest_chunk(paths: list[str], overrides: Path | None):
     file adds only its MALFORMED pair: a file is counted once it has parsed
     and been tallied, and add_article writes the Ledger only in its last,
     infallible step. An unexpected one (not a JatsError) also prints its
-    traceback to stderr.
+    traceback to stderr. `names` is the run's one section-name table.
     """
     _bind("ingest")  # a spawned or forkserver worker never ran main()
-    names = load_name_table(overrides)
     ledger = Ledger()
     funnel = Counter()
     malformed = []
@@ -290,17 +284,17 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         workers = _convert(os.environ.get(WORKERS_ENV) or "1", _positive_int, f"{WORKERS_ENV}=")
     overrides = _resolve(args, config, "section_overrides", None, Path)
     if corpus_dir is None or output_dir is None:
-        raise CliError("ingest requires --corpus-dir and --output-dir")
+        raise ValueError("ingest requires --corpus-dir and --output-dir")
     if not corpus_dir.is_dir():
-        raise CliError(f"corpus directory not found (--corpus-dir): {corpus_dir}")
+        raise ValueError(f"corpus directory not found (--corpus-dir): {corpus_dir}")
 
     files = sorted(str(p) for p in corpus_dir.rglob("*.xml"))
     if not files:
-        raise CliError(f"no .xml files under {corpus_dir}")
+        raise ValueError(f"no .xml files under {corpus_dir}")
 
     if overrides is not None and not overrides.exists():
-        raise CliError(f"section override file not found: {overrides}")
-    load_name_table(overrides)  # a bad override file fails the run, not each chunk
+        raise ValueError(f"section override file not found: {overrides}")
+    names = load_name_table(overrides)  # every chunk gets this table, read once
 
     ledger = Ledger()
     totals = Counter()
@@ -308,26 +302,31 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     issues: list[tuple[str, str]] = []
 
     chunks = [files[i:i + _CHUNK_FILES] for i in range(0, len(files), _CHUNK_FILES)]
-    work = (_ingest_chunk, chunks, [overrides] * len(chunks))
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    work = (_ingest_chunk, chunks, [names] * len(chunks))
+    died = ()  # what the pool raises once a worker process has died
+    try:
+        with contextlib.ExitStack() as stack:
+            if workers > 1:
+                from concurrent.futures import ProcessPoolExecutor
+                from concurrent.futures.process import BrokenProcessPool as died
 
-            results = stack.enter_context(ProcessPoolExecutor(workers)).map(*work)
-        else:
-            results = map(*work)
-        done = 0
-        for chunk, (part, counts, failed, logged) in zip(chunks, results):
-            ledger.update(part)
-            totals.update(counts)
-            failures.extend(failed)
-            issues.extend(logged)
-            for mark in range((done // 200 + 1) * 200, done + len(chunk) + 1, 200):
-                print(f"seccite: ingested {mark}/{len(files)}", file=sys.stderr)
-            done += len(chunk)
+                results = stack.enter_context(ProcessPoolExecutor(workers)).map(*work)
+            else:
+                results = map(*work)
+            done = 0
+            for chunk, (part, counts, failed, logged) in zip(chunks, results):
+                ledger.update(part)
+                totals.update(counts)
+                failures.extend(failed)
+                issues.extend(logged)
+                for mark in range((done // 200 + 1) * 200, done + len(chunk) + 1, 200):
+                    print(f"seccite: ingested {mark}/{len(files)}", file=sys.stderr)
+                done += len(chunk)
+    except died as exc:
+        raise ValueError(f"an ingest worker process died: {exc}") from exc
 
     if totals["documents"] == 0:
-        raise CliError(
+        raise ValueError(
             f"no parseable articles under {corpus_dir} "
             f"({len(failures)} malformed file(s))"
         )
@@ -435,18 +434,18 @@ def cmd_stats(args: argparse.Namespace) -> int:
     min_total = _resolve(args, config, "min_total", Fraction(100), _min_total)
     output_dir = _resolve(args, config, "output_dir", None, Path)
     if ledger_dir is None or output_dir is None:
-        raise CliError("stats requires --ledger-dir and --output-dir")
+        raise ValueError("stats requires --ledger-dir and --output-dir")
     if classification is None:
-        raise CliError("missing classification file (--classification)")
+        raise ValueError("missing classification file (--classification)")
     if not classification.exists():
-        raise CliError(f"classification file not found (--classification): {classification}")
+        raise ValueError(f"classification file not found (--classification): {classification}")
     if extension is not None and not extension.exists():
-        raise CliError(f"extension file not found (--extension): {extension}")
+        raise ValueError(f"extension file not found (--extension): {extension}")
 
     try:
         ledger = read_ledger(ledger_dir)
     except FileNotFoundError as exc:
-        raise CliError(f"ledger not found (--ledger-dir): {exc}") from exc
+        raise ValueError(f"ledger not found (--ledger-dir): {exc}") from exc
     field_map = load_classification(classification, extension)
 
     cited = cited_dois(ledger, field_map)
@@ -540,32 +539,26 @@ def _parse_structure_mix(text: str) -> dict[str, float]:
     mix = {}
     for item in text.split(","):
         if "=" not in item:
-            raise CliError(f"bad --structure-mix entry {item!r}; expected PATTERN=prob")
+            raise ValueError(f"bad --structure-mix entry {item!r}; expected PATTERN=prob")
         pattern, _, prob = item.partition("=")
         name = pattern.strip()
         if name in mix:
-            raise CliError(f"--structure-mix: pattern {name!r} is given twice")
+            raise ValueError(f"--structure-mix: pattern {name!r} is given twice")
         mix[name] = _convert(prob, float, f"--structure-mix {pattern}=")
     return mix
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    mix = (
-        _parse_structure_mix(args.structure_mix)
-        if args.structure_mix is not None
-        else dict(DEFAULT_STRUCTURE_MIX)
-    )
-    if not MIN_REFS <= args.refs_min <= args.refs_max:
-        raise CliError(f"--refs-min {args.refs_min} --refs-max {args.refs_max}: "
-                       f"need {MIN_REFS} <= --refs-min <= --refs-max")
-    spec = CorpusSpec(
-        seed=args.seed,
-        article_count=args.articles,
-        structure_mix=mix,
-        refs_per_article=(args.refs_min, args.refs_max),
-        doi_coverage=args.doi_coverage,
-        range_citation_rate=args.range_rate,
-    )
+    mix = None if args.structure_mix is None else _parse_structure_mix(args.structure_mix)
+    lo, hi = CorpusSpec.refs_per_article
+    lo, hi = args.refs_min or lo, args.refs_max or hi
+    if not MIN_REFS <= lo <= hi:
+        raise ValueError(f"--refs-min {lo} --refs-max {hi}: "
+                         f"need {MIN_REFS} <= --refs-min <= --refs-max")
+    given = {"seed": args.seed, "article_count": args.articles, "structure_mix": mix,
+             "refs_per_article": (lo, hi), "doi_coverage": args.doi_coverage,
+             "range_citation_rate": args.range_rate}
+    spec = CorpusSpec(**{key: value for key, value in given.items() if value is not None})
     truth = generate_corpus(spec, args.out_dir)
     truth_dir = Path(args.out_dir) / "ground_truth"
     write_ledger(truth.ledger, truth_dir)
@@ -650,13 +643,13 @@ def _render_report(bundle: dict) -> list[str]:
 
 def cmd_report(args: argparse.Namespace) -> int:
     if not args.input.exists():
-        raise CliError(f"report bundle not found (--input): {args.input}")
+        raise ValueError(f"report bundle not found (--input): {args.input}")
     try:
         out = _render_report(json.loads(args.input.read_text("utf-8")))
     except KeyError as exc:
-        raise CliError(f"{args.input}: not a seccite report bundle (missing {exc})") from exc
+        raise ValueError(f"{args.input}: not a seccite report bundle (missing {exc})") from exc
     except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
-        raise CliError(f"{args.input}: not a seccite report bundle ({exc})") from exc
+        raise ValueError(f"{args.input}: not a seccite report bundle ({exc})") from exc
     print("\n".join(out))
     return 0
 

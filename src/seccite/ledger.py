@@ -508,9 +508,9 @@ def read_ledger(directory: str | Path) -> Ledger:
     one write_ledger writes, a row with another number of cells, a weight
     cell that is not "n/d" with integers n and d > 0, a count or year that
     is not an integer, a DOI, journal or cited-journal title that repeats
-    an earlier row of its file, or a cohort or meta DOI with no row in
-    ledger.tsv. Equal weights, cohort pairs, journal titles, years and DOIs
-    come back as one shared object.
+    an earlier row of its file, an empty ISSN in an issns cell, or a cohort
+    or meta DOI with no row in ledger.tsv. Equal weights, cohort pairs,
+    journal titles, years and DOIs come back as one shared object.
     """
     main, cohort, meta, sources, targets = ledger_files(directory)
     ledger = Ledger()
@@ -551,7 +551,9 @@ def read_ledger(directory: str | Path) -> Ledger:
         other = values.weight(cells[-1], sources, line)
         if other:
             ledger.source_other[journal] = other
-        ledger.source_issns[journal] = set(issns.split(";")) if issns else set()
+        ledger.source_issns[journal] = parts = set(issns.split(";")) if issns else set()
+        if "" in parts:
+            raise ValueError(f"{sources}, line {line}: issns {issns!r} holds an empty ISSN")
 
     for line, (title, weight) in _read_rows(targets, _FILES[".targets"][0]):
         title = values.text(_first(title, ledger.target_other, "cited journal", targets, line))

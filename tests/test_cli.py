@@ -18,9 +18,11 @@ import pytest
 
 import seccite
 from seccite import (
+    CorpusSpec,
     anchored_subset_geomeans,
     cli,
     correlation_tables,
+    generate_corpus,
     load_classification,
     read_ledger,
     share_by_field,
@@ -44,6 +46,16 @@ def ledger_bytes(directory: Path) -> dict[str, bytes]:
         p.name: p.read_bytes()
         for p in sorted(Path(directory).glob("ledger*.tsv"))
     }
+
+
+@pytest.fixture
+def forked_workers():
+    """Pool workers see this process's monkeypatches only when forked from
+    it; fork is the default start method on Linux only up to Python 3.13."""
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)
+    yield
+    multiprocessing.set_start_method(previous, force=True)
 
 
 @pytest.fixture(scope="module")
@@ -104,13 +116,34 @@ class TestSynthCommand:
          "--refs-min 10 --refs-max 8: need 4 <= --refs-min <= --refs-max"),
         (("--articles", "55", "--refs-min", "60", "--refs-max", "120"),
          "refs_per_article max 120 exceeds the 110 citable works of a 55-article corpus"),
-    ], ids=["min-below-4", "max-below-min", "max-above-universe"])
+        (("--refs-min", "3", "--structure-mix", "IMRDC=abc"),
+         "--structure-mix IMRDC=abc: could not convert string to float: 'abc'"),
+    ], ids=["min-below-4", "max-below-min", "max-above-universe", "bad-mix-reported-first"])
     def test_bad_refs_range_is_runtime_error(self, tmp_path, capsys, flags, message):
         assert run("synth", "--out-dir", str(tmp_path / "out"), *flags) == 1
         err = capsys.readouterr().err
         assert err == f"seccite: error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, spec", [
+        ((), CorpusSpec()),
+        (("--articles", "30", "--seed", "3", "--doi-coverage", "0.5", "--range-rate", "0.1",
+          "--refs-min", "5", "--refs-max", "9", "--structure-mix", "IMRDC=0.5,ILM[RD]C=0.5"),
+         CorpusSpec(seed=3, article_count=30, structure_mix={"IMRDC": 0.5, "ILM[RD]C": 0.5},
+                    refs_per_article=(5, 9), doi_coverage=0.5, range_citation_rate=0.1)),
+    ], ids=["no-flags", "every-flag"])
+    def test_writes_what_its_corpus_spec_generates(self, tmp_path, flags, spec):
+        assert run("synth", "--out-dir", str(tmp_path / "cli"), *flags) == 0
+        truth = generate_corpus(spec, tmp_path / "library")
+        write_ledger(truth.ledger, tmp_path / "library" / "ground_truth")
+
+        def files(root: Path) -> dict[str, bytes]:
+            return {str(p.relative_to(root)): p.read_bytes()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        written = files(tmp_path / "cli")
+        assert json.loads(written.pop("ground_truth/stats.json")) == truth.stats
+        assert written == files(tmp_path / "library")
 
     def test_out_dir_holding_other_articles_is_refused(self, tmp_path, capsys):
         out = tmp_path / "c"
@@ -248,15 +281,6 @@ class TestIngestCommand:
         assert run("ingest", "--corpus-dir", str(rest), "--output-dir", str(expected)) == 0
         assert ledger_bytes(out) == ledger_bytes(expected)
         assert ledger_bytes(out) != ledger_bytes(ingested)
-
-    @pytest.fixture
-    def forked_workers(self):
-        """Pool workers see this process's monkeypatches only when forked from
-        it; fork is the default start method on Linux only up to Python 3.13."""
-        previous = multiprocessing.get_start_method(allow_none=True)
-        multiprocessing.set_start_method("fork", force=True)
-        yield
-        multiprocessing.set_start_method(previous, force=True)
 
     @pytest.fixture
     def mixed_corpus(self, corpus, tmp_path) -> Path:
@@ -416,11 +440,68 @@ class TestIngestCommand:
         # A spawned (or forkserver) worker imports seccite.cli afresh and never
         # runs main(), so the worker entry must bind what it calls itself.
         paths = [str(p) for p in sorted(corpus.glob("*.xml"))[:8]]
-        expected = cli._ingest_chunk(paths, None)
+        names = cli.load_name_table()
+        expected = cli._ingest_chunk(paths, names)
         assert expected[0].vectors
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(1, mp_context=spawn) as pool:
-            assert pool.submit(cli._ingest_chunk, paths, None).result() == expected
+            assert pool.submit(cli._ingest_chunk, paths, names).result() == expected
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_name_table_is_loaded_once_per_run(
+        self, corpus, tmp_path, monkeypatch, workers, forked_workers
+    ):
+        calls = tmp_path / "calls"  # a file, so that forked workers' calls are counted too
+        real_load = cli.load_name_table
+
+        def load_name_table(override_path=None):
+            with calls.open("a", encoding="utf-8") as log:
+                log.write(f"{override_path}\n")
+            return real_load(override_path)
+
+        monkeypatch.setattr(cli, "load_name_table", load_name_table)
+        monkeypatch.setattr(cli, "_CHUNK_FILES", 7)
+        assert run("ingest", "--corpus-dir", str(corpus), "--output-dir", str(tmp_path / "out"),
+                   "--workers", workers) == 0
+        assert calls.read_text("utf-8") == "None\n"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_override_file_removed_during_the_run_changes_nothing(
+        self, corpus, tmp_path, monkeypatch, workers, forked_workers
+    ):
+        overrides = tmp_path / "overrides.tsv"
+        overrides.write_text("Results\tDiscussion\n", "utf-8")
+        argv = ["ingest", "--corpus-dir", str(corpus), "--section-overrides", str(overrides),
+                "--workers", workers]
+        kept = tmp_path / "kept"
+        assert run(*argv, "--output-dir", str(kept)) == 0
+        assert ledger_bytes(kept) != ledger_bytes(corpus / "ground_truth")
+        real_load = cli.load_name_table
+
+        def load_name_table(override_path=None):
+            table = real_load(override_path)
+            overrides.unlink()
+            return table
+
+        monkeypatch.setattr(cli, "load_name_table", load_name_table)
+        monkeypatch.setattr(cli, "_CHUNK_FILES", 7)
+        removed = tmp_path / "removed"
+        assert run(*argv, "--output-dir", str(removed)) == 0
+        assert not overrides.exists()
+        assert ledger_bytes(removed) == ledger_bytes(kept)
+
+    def test_dead_worker_ends_the_run_with_one_error_line(
+        self, corpus, tmp_path, monkeypatch, capsys, forked_workers
+    ):
+        monkeypatch.setattr(cli, "parse_article", lambda data, source="<bytes>": os._exit(3))
+        out = tmp_path / "out"
+        assert run("ingest", "--corpus-dir", str(corpus), "--output-dir", str(out),
+                   "--workers", "2") == 1
+        err = capsys.readouterr().err
+        assert err.count("seccite: error:") == 1
+        assert "seccite: error: an ingest worker process died" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_run_level_failures_stay_fatal(self, corpus, tmp_path, capsys):
         blocker = tmp_path / "blocker"

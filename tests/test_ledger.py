@@ -452,6 +452,19 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=message):
             read_ledger(tmp_path)
 
+    @pytest.mark.parametrize("cell", ["1111-0001;;1111-0002", ";1111-0001", "1111-0001;", ";"])
+    def test_read_rejects_an_empty_issn(self, tmp_path, cell):
+        _write_full_ledger(tmp_path)
+        path = tmp_path / "ledger.sources.tsv"
+        lines = path.read_text("utf-8").split("\n")
+        cells = lines[2].split("\t")
+        cells[1] = cell
+        lines[2] = "\t".join(cells)
+        path.write_text("\n".join(lines), "utf-8")
+        message = re.escape(f"ledger.sources.tsv, line 3: issns {cell!r} holds an empty ISSN")
+        with pytest.raises(ValueError, match=message):
+            read_ledger(tmp_path)
+
     @pytest.mark.parametrize("part", [".cohort", ".meta"])
     def test_read_rejects_a_sidecar_of_another_ledger(self, tmp_path, part):
         _write_full_ledger(tmp_path / "mine")
