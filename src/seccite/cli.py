@@ -442,8 +442,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if extension is not None and not extension.exists():
         raise ValueError(f"extension file not found (--extension): {extension}")
 
-    try:
-        ledger = read_ledger(ledger_dir)
+    try:  # no table reads the cohort rows; their file's header is still checked
+        ledger = read_ledger(ledger_dir, cohort=False)
     except FileNotFoundError as exc:
         raise ValueError(f"ledger not found (--ledger-dir): {exc}") from exc
     field_map = load_classification(classification, extension)

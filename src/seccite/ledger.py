@@ -11,12 +11,13 @@ worker-count independence are exact, not approximate.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator, Mapping, TextIO
 
 from .sections import SECTION_ORDER, CanonicalSection, SectionLabel, normalize_section
 
@@ -258,6 +259,8 @@ def merge(left: Ledger, right: Ledger) -> Ledger:
 
 def _modal(counts: Mapping | None, default):
     """The most counted key, ties broken to the smallest; default if none."""
+    if len(counts or ()) == 1:  # most cited DOIs have one journal title and one year
+        return next(iter(counts))
     return min(counts.items(), key=lambda item: (-item[1], item[0]))[0] if counts else default
 
 
@@ -406,17 +409,24 @@ def write_ledger(ledger: Ledger, directory: str | Path) -> list[Path]:
     })
 
 
+@contextmanager
+def _opened(path: Path, header: list[str]) -> Iterator[TextIO]:
+    """`path` open just past its header; ValueError if that is not `header`."""
+    with path.open("r", encoding="utf-8", newline="\n") as handle:
+        found = handle.readline().rstrip("\n")
+        if found.split("\t") != header:
+            expected = "\t".join(header)
+            raise ValueError(f"{path}, line 1: header {found!r} is not {expected!r}")
+        yield handle
+
+
 def _read_rows(path: Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """(line number, cells) for each row after the header, read line by line.
 
     Raises ValueError naming the file and line for a header other than
     `header` or a row whose cell count differs from the header's.
     """
-    with path.open("r", encoding="utf-8", newline="\n") as handle:
-        found = handle.readline().rstrip("\n")
-        if found.split("\t") != header:
-            expected = "\t".join(header)
-            raise ValueError(f"{path}, line 1: header {found!r} is not {expected!r}")
+    with _opened(path, header) as handle:
         width = len(header)
         for number, line in enumerate(handle, start=2):
             cells = line.rstrip("\n").split("\t")
@@ -425,23 +435,33 @@ def _read_rows(path: Path, header: list[str]) -> Iterator[tuple[int, list[str]]]
             yield number, cells
 
 
-def _parse_weight(cell: str, path: Path, line: int) -> Fraction:
-    """An exact weight as _format_fraction writes it: integers "n/d", d > 0."""
-    numerator, _, denominator = cell.partition("/")
+def _natural(text: str) -> int | None:
+    """The integer n >= 0 whose str(n) is `text`, else None: int() alone would
+    also take a sign, "_" between digits and surrounding spaces."""
     try:
-        n, d = int(numerator), int(denominator)
-        if d > 0:
-            return Fraction(n, d)
+        value = int(text)
     except ValueError:
-        pass
-    raise ValueError(f"{path}, line {line}: weight {cell!r} is not n/d with integers n and d > 0")
+        return None
+    return value if value >= 0 and str(value) == text else None
+
+
+def _parse_weight(cell: str, path: Path, line: int) -> Fraction:
+    """An exact weight as _format_fraction writes it: "n/d" with n >= 0 and
+    d > 0, each written as str() writes it."""
+    numerator, _, denominator = cell.partition("/")
+    n, d = _natural(numerator), _natural(denominator)
+    if n is None or not d:
+        raise ValueError(f"{path}, line {line}: weight {cell!r} is not n/d "
+                         "with integers n >= 0 and d > 0 in plain digits")
+    return Fraction(n, d)
 
 
 def _parse_int(cell: str, what: str, path: Path, line: int) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise ValueError(f"{path}, line {line}: {what} {cell!r} is not an integer") from None
+    value = _natural(cell)
+    if value is None:
+        raise ValueError(f"{path}, line {line}: {what} {cell!r} is not an integer "
+                         "n >= 0 in plain digits")
+    return value
 
 
 def _first(key: str, seen: Container[str], what: str, path: Path, line: int) -> str:
@@ -501,18 +521,22 @@ class _Interned:
         return weights
 
 
-def read_ledger(directory: str | Path) -> Ledger:
+def read_ledger(directory: str | Path, *, cohort: bool = True) -> Ledger:
     """Load a ledger written by write_ledger; exact inverse.
 
     Raises ValueError naming the file and line for a header other than the
     one write_ledger writes, a row with another number of cells, a weight
-    cell that is not "n/d" with integers n and d > 0, a count or year that
-    is not an integer, a DOI, journal or cited-journal title that repeats
-    an earlier row of its file, an empty ISSN in an issns cell, or a cohort
-    or meta DOI with no row in ledger.tsv. Equal weights, cohort pairs,
-    journal titles, years and DOIs come back as one shared object.
+    cell other than "n/d" or a count or year cell other than "n" (each
+    integer written as str() writes it, n >= 0, d > 0), a DOI, journal or
+    cited-journal title that repeats an earlier row of its file, an empty
+    ISSN in an issns cell, or a cohort or meta DOI with no row in ledger.tsv.
+    Equal weights, cohort pairs, journal titles, years and DOIs come back as
+    one shared object.
+
+    cohort=False checks only the header of ledger.cohort.tsv and leaves
+    cohort_index empty, a ledger that write_ledger refuses.
     """
-    main, cohort, meta, sources, targets = ledger_files(directory)
+    main, cohorts, meta, sources, targets = ledger_files(directory)
     ledger = Ledger()
     values = _Interned()
 
@@ -521,13 +545,17 @@ def read_ledger(directory: str | Path) -> Ledger:
     for line, (doi, *cells) in _read_rows(main, _FILES[""][0]):
         doi = values.text(_first(doi, ledger.vectors, "DOI", main, line))
         ledger.vectors[doi] = values.section_weights(cells, main, line)
-        ledger.cohort_index[doi] = set()
 
-    for line, (doi, journal, year) in _read_rows(cohort, _FILES[".cohort"][0]):
-        doi_cohort = ledger.cohort_index.get(doi)
-        if doi_cohort is None:
-            raise ValueError(f"{cohort}, line {line}: DOI {doi!r} has no row in {main.name}")
-        doi_cohort.add(values.pair(journal, year, cohort, line))
+    if cohort:
+        ledger.cohort_index = {doi: set() for doi in ledger.vectors}
+        for line, (doi, journal, year) in _read_rows(cohorts, _FILES[".cohort"][0]):
+            doi_cohort = ledger.cohort_index.get(doi)
+            if doi_cohort is None:
+                raise ValueError(f"{cohorts}, line {line}: DOI {doi!r} has no row in {main.name}")
+            doi_cohort.add(values.pair(journal, year, cohorts, line))
+    else:
+        with _opened(cohorts, _FILES[".cohort"][0]):
+            pass  # the header alone
 
     for line, (doi, kind, value, count) in _read_rows(meta, _FILES[".meta"][0]):
         if kind == "journal":

@@ -202,14 +202,22 @@ def cited_dois(ledger: Ledger, field_map: FieldMap) -> CitedDois:
     cited year and field. The tables take the result as `cited`, so one
     `stats` run resolves each DOI once rather than once per table."""
     fields: dict[str, str | None] = {}  # modal cited-journal title -> field
+    floats: dict[tuple[int, int], float] = {}  # one float per distinct weight
     dois: list[CitedDoi] = []
     by_field: dict[str | None, list[CitedDoi]] = {}
+
+    def as_float(weight: Fraction | None) -> float:
+        if weight is None:
+            return 0.0
+        key = (weight.numerator, weight.denominator)
+        value = floats.get(key)
+        if value is None:
+            value = floats[key] = key[0] / key[1]
+        return value
+
     for doi in ledger.dois():
         vector = ledger.vectors[doi]
-        counts = tuple(
-            w.numerator / w.denominator if (w := vector.get(s)) is not None else 0.0
-            for s in SECTION_ORDER
-        )
+        counts = tuple(as_float(vector.get(s)) for s in SECTION_ORDER)
         entry = CitedDoi(doi, vector, counts, ledger.total(doi), resolve_cited_year(ledger, doi))
         title = modal_cited_journal(ledger, doi)
         if title not in fields:

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .ledger import Ledger, tsv_lines, write_files
 from .sections import CanonicalSection
@@ -422,6 +422,21 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> GroundTruth:
     return GroundTruth(ledger=truth, files=tuple(files), stats=stats)
 
 
+def _into(mapping: dict, key, new: Callable[[], object]):
+    """mapping[key], first set to new() if the key is new: unlike setdefault,
+    builds no container for a key already there."""
+    found = mapping.get(key)
+    if found is None:
+        found = mapping[key] = new()
+    return found
+
+
+def _add(weights: dict, key, weight: Fraction) -> None:
+    """Add `weight` into weights[key]; a new key takes the weight itself."""
+    old = weights.get(key)
+    weights[key] = weight if old is None else old + weight
+
+
 def _account_article(truth: Ledger, plan: _PlanArticle) -> None:
     """Fold one planned article into the expected ledger.
 
@@ -458,27 +473,25 @@ def _account_article(truth: Ledger, plan: _PlanArticle) -> None:
 
     for doi, per_section in recognized.items():
         total = sum(per_section.values())
-        vector = truth.vectors.setdefault(doi, {})
-        per_journal = truth.source_sections.setdefault(journal, {})
+        vector = _into(truth.vectors, doi, dict)
+        per_journal = _into(truth.source_sections, journal, dict)
         for section, count in per_section.items():
             weight = Fraction(count, total)
-            vector[section] = vector.get(section, Fraction(0)) + weight
-            per_journal[section] = per_journal.get(section, Fraction(0)) + weight
-        truth.cohort_index.setdefault(doi, set()).add((journal, plan.pub_year))
+            _add(vector, section, weight)
+            _add(per_journal, section, weight)
+        _into(truth.cohort_index, doi, set).add((journal, plan.pub_year))
         cited_journal, cited_year = doi_meta[doi]
-        truth.cited_journals.setdefault(doi, Counter())[cited_journal] += 1
+        _into(truth.cited_journals, doi, Counter)[cited_journal] += 1
         if cited_year is not None:
-            truth.cited_years.setdefault(doi, Counter())[cited_year] += 1
+            _into(truth.cited_years, doi, Counter)[cited_year] += 1
 
     for doi in other:
         if doi in recognized:
             continue
-        truth.source_other[journal] = truth.source_other.get(journal, Fraction(0)) + 1
-        truth.target_other[doi_meta[doi][0]] = (
-            truth.target_other.get(doi_meta[doi][0], Fraction(0)) + 1
-        )
+        _add(truth.source_other, journal, Fraction(1))
+        _add(truth.target_other, doi_meta[doi][0], Fraction(1))
     if recognized or other:
-        truth.source_issns.setdefault(journal, set()).add(plan.issn)
+        _into(truth.source_issns, journal, set).add(plan.issn)
 
 
 def _article_xml(plan: _PlanArticle, rng: random.Random) -> str:

@@ -575,7 +575,7 @@ class TestStatsCommand:
     def test_parse_error_raised_inside_a_command_is_runtime_error(
         self, ingested, classification_file, tmp_path, capsys, monkeypatch
     ):
-        def read_ledger(directory):
+        def read_ledger(directory, **kwargs):
             raise ArticleStructureError(str(directory), "not a ledger")
 
         monkeypatch.setattr(cli, "read_ledger", read_ledger)
@@ -728,6 +728,95 @@ class TestStatsCommand:
         assert capsys.readouterr().err == "seccite: error: cannot rename share_source.tsv.tmp\n"
         assert len(list(out.iterdir())) == 13
         assert list(out.glob("*.tmp")) == []
+
+
+# sha256 of each `stats` output on the ground truth of the default synthetic
+# corpus (CorpusSpec(): seed 7, 200 articles), and of the text `report` prints
+# from its report.json. Any change to a table, a float's text or the bundle
+# shows here. Only top_share.tsv, report.json and the report text depend on
+# --min-total.
+PINNED_STATS = {
+    "anchored_background.tsv": "1384d303ef4853808ab5c92480caccf0a9e687b4d5fd112d7068129d10d5c35b",
+    "anchored_conclusion.tsv": "797c31d289ba29816b0f39f32c4bf5dd07757335051896184947703be82046a4",
+    "anchored_discussion.tsv": "a43ba1ade0f6f8a07af94912e00d727fe4819f3e7c7c3cdddb3373985aaeee83",
+    "anchored_intro.tsv": "4119f847284a743f3485da5c6cc1ef1d20790c4224a09856356100330654dcfc",
+    "anchored_methods.tsv": "7252a59f6c3b01340a2a52275217ecbc0b4d450015bd9e8259acfbdd63384b4e",
+    "anchored_results.tsv": "279e6bf43a2168554f01cf68e10182996d916c8e78242118e74449dcf83a4b64",
+    "corr_fields.tsv": "613494c09ffb797ac0bf7de23d9bd681c45a611bfc76f71759f7da6d4113396c",
+    "corr_median.tsv": "c3ecb300315704a7924f0e46f868d825c13a25239dff73fb4e4b7c6f2fe7d7ad",
+    "corr_positive.tsv": "c01e1bc2c549aa20065e226555d1cf4f679b5f2452d5f0f5455b5cb690d1d2a2",
+    "share_source.tsv": "7e6db73fe25f8fac7afdfdedc30ea2007b2d4aa16d83b99ed808c3c80d85b1ee",
+    "share_target.tsv": "5921beb1eccbe6e6859236361809fc6f447857ff62c073346e3d9ee8cd576ff4",
+    "top_share.tsv": "2cd31fc9006a401e2e6a7310f009dcc85cbe0f78868acbe94db2cafd960bb0df",
+    "report.json": "dd3fe43994de509efdf23410978632e3a498c6f743aaca586739cd4a78d67fc3",
+    "report": "29589188b95344c9a8d2e66a025b5d0fe2bd3f8652e71d28e8c04f9278f1c46c",
+}
+PINNED_STATS_MIN_TOTAL_1 = {
+    **PINNED_STATS,
+    "top_share.tsv": "067a3e1f1fd12aebcd76fa68cad1aa28d9dbd2917bfaf4695496f6ef2aac2347",
+    "report.json": "e0997de993a744aa64101def3eed0a8637f4ff3e53c52643e2eec39fd911764c",
+    "report": "cb5796beafddfaff2b78908fb45fbaef298d2d8f0742c9ab28366c595449f254",
+}
+
+
+@pytest.fixture(scope="module")
+def truth_ledger(tmp_path_factory) -> Path:
+    """The ground-truth ledger of the default synthetic corpus."""
+    out = tmp_path_factory.mktemp("truth")
+    write_ledger(generate_corpus(CorpusSpec(), out / "corpus").ledger, out / "ledger")
+    return out / "ledger"
+
+
+def stats_digests(ledger_dir: Path, classification: Path, out: Path, *flags: str) -> dict:
+    """Run `stats` into `out`: the sha256 of each file it writes."""
+    assert run("stats", "--ledger-dir", str(ledger_dir), "--classification", str(classification),
+               "--output-dir", str(out), *flags) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+
+
+class TestPinnedStatsOutputs:
+    @pytest.mark.parametrize("flags, pinned", [((), PINNED_STATS),
+                                               (("--min-total", "1"), PINNED_STATS_MIN_TOTAL_1)],
+                             ids=["default", "min-total-1"])
+    def test_output_digests(self, truth_ledger, classification_file, tmp_path, capsys,
+                            flags, pinned):
+        digests = stats_digests(truth_ledger, classification_file, tmp_path, *flags)
+        capsys.readouterr()
+        assert run("report", "--input", str(tmp_path / "report.json")) == 0
+        digests["report"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digests == pinned
+
+    @pytest.mark.parametrize("bad_year", [False, True], ids=["header-only", "bad-year"])
+    def test_cohort_rows_are_not_read(self, truth_ledger, classification_file, tmp_path,
+                                      bad_year):
+        ledger_dir = shutil.copytree(truth_ledger, tmp_path / "ledger")
+        cohort = ledger_dir / "ledger.cohort.tsv"
+        header, row = cohort.read_text("utf-8").split("\n")[:2]
+        rows = row.rsplit("\t", 1)[0] + "\tx\n" if bad_year else ""
+        cohort.write_text(header + "\n" + rows, "utf-8")
+        digests = stats_digests(ledger_dir, classification_file, tmp_path / "out")
+        # report.json differs: its provenance hashes the cohort file too.
+        assert digests.pop("report.json") != PINNED_STATS["report.json"]
+        assert digests == {name: digest for name, digest in PINNED_STATS.items()
+                           if name.endswith(".tsv")}
+
+    @pytest.mark.parametrize("spoil", ["missing", "wrong-header"])
+    def test_cohort_file_is_still_checked(self, truth_ledger, classification_file, tmp_path,
+                                          capsys, spoil):
+        ledger_dir = shutil.copytree(truth_ledger, tmp_path / "ledger")
+        cohort = ledger_dir / "ledger.cohort.tsv"
+        if spoil == "missing":
+            cohort.unlink()
+        else:
+            cohort.write_bytes(b"x" + cohort.read_bytes())
+        capsys.readouterr()
+        assert run("stats", "--ledger-dir", str(ledger_dir),
+                   "--classification", str(classification_file),
+                   "--output-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("seccite: error:") and err.count("\n") == 1
+        assert str(cohort) in err
+        assert not (tmp_path / "out").exists()
 
 
 def write_bundle(path: Path, top_share: list[dict]) -> Path:

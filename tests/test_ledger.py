@@ -257,6 +257,13 @@ class TestResolution:
         ledger.cited_journals["10.1/x"] = Counter({"B Journal": 1, "A Journal": 1})
         assert modal_cited_journal(ledger, "10.1/x") == "A Journal"
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.integers(1990, 1995), st.integers(1, 3), min_size=1, max_size=4)
+           | st.dictionaries(st.sampled_from("ABCDE"), st.integers(1, 3), min_size=1, max_size=4))
+    def test_modal_is_the_most_counted_then_smallest_key(self, counts):
+        expected = min(counts.items(), key=lambda item: (-item[1], item[0]))[0]
+        assert ledger_module._modal(Counter(counts), None) == expected
+
 
 _PARTS = ["", ".cohort", ".meta", ".sources", ".targets"]
 
@@ -279,6 +286,32 @@ def _fail_after_one_row(monkeypatch, part):
     monkeypatch.setitem(ledger_module._FILES, part, (header, failing))
 
 
+# The integer cells of a ledger: file part, meta kind, column, name in errors.
+_INTEGER_CELLS = pytest.mark.parametrize(
+    "part, kind, column, what",
+    [(".meta", "journal", 3, "count"), (".meta", "year", 2, "year"),
+     (".cohort", None, 2, "year")],
+    ids=["meta-count", "meta-year", "cohort-year"],
+)
+
+
+def _expect_bad_integer(directory, part, kind, column, what, cell):
+    """Put `cell` in the first integer cell of its kind in a written ledger:
+    read_ledger must fail naming the file and line."""
+    _write_full_ledger(directory)
+    path = directory / f"ledger{part}.tsv"
+    lines = path.read_text("utf-8").split("\n")
+    index = next(i for i, line in enumerate(lines[1:], 1)
+                 if kind is None or line.split("\t")[1] == kind)
+    cells = lines[index].split("\t")
+    cells[column] = cell
+    lines[index] = "\t".join(cells)
+    path.write_text("\n".join(lines), "utf-8")
+    message = re.escape(f"ledger{part}.tsv, line {index + 1}: {what} {cell!r} is not an integer")
+    with pytest.raises(ValueError, match=message):
+        read_ledger(directory)
+
+
 class TestRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         ledger = random_ledger(random.Random(21), dois=20, journals=4)
@@ -298,6 +331,16 @@ class TestRoundTrip:
         back = read_ledger(tmp_path)
         assert back.vectors["10.1/x"][D] == Fraction(10**12, 7)
         assert back.cohort_index["10.1/x"] == {("J", None)}
+
+    def test_read_without_cohort_leaves_only_cohort_index_empty(self, tmp_path, synth_corpus):
+        write_ledger(synth_corpus[1].ledger, tmp_path / "full")
+        full = read_ledger(tmp_path / "full")
+        partial = read_ledger(tmp_path / "full", cohort=False)
+        assert full.cohort_index and partial.cohort_index == {}
+        assert partial == dataclasses.replace(full, cohort_index={})
+        with pytest.raises(ValueError, match="in vectors but not cohort_index"):
+            write_ledger(partial, tmp_path / "copy")
+        assert not (tmp_path / "copy").exists()
 
     def test_missing_ledger_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -383,7 +426,10 @@ class TestRoundTrip:
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
             f"ledger{part}.tsv" for part in _PARTS)
 
-    @pytest.mark.parametrize("cell", ["1.5", "x/2", "1/0", "1/-3", "2", ""])
+    @pytest.mark.parametrize("cell", ["1.5", "x/2", "1/0", "1/-3", "2", "", "-1/2", "+0_3/1",
+                                      pytest.param(" 1/2", id="space-1/2"),
+                                      pytest.param("1/2 ", id="1/2-space"),
+                                      "01/2", "1/02", "1_0/3", "\u0663/4"])
     @pytest.mark.parametrize("part, column", [("", 1), (".sources", -1), (".targets", 1)])
     def test_read_names_file_and_line_of_bad_weight(self, tmp_path, part, column, cell):
         _write_full_ledger(tmp_path)
@@ -418,25 +464,17 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=message):
             read_ledger(tmp_path)
 
-    @pytest.mark.parametrize(
-        "part, kind, column, what",
-        [(".meta", "journal", 3, "count"), (".meta", "year", 2, "year"),
-         (".cohort", None, 2, "year")],
-        ids=["meta-count", "meta-year", "cohort-year"],
-    )
+    @_INTEGER_CELLS
     def test_read_names_file_and_line_of_bad_integer(self, tmp_path, part, kind, column, what):
-        _write_full_ledger(tmp_path)
-        path = tmp_path / f"ledger{part}.tsv"
-        lines = path.read_text("utf-8").split("\n")
-        index = next(i for i, line in enumerate(lines[1:], 1)
-                     if kind is None or line.split("\t")[1] == kind)
-        cells = lines[index].split("\t")
-        cells[column] = "x"
-        lines[index] = "\t".join(cells)
-        path.write_text("\n".join(lines), "utf-8")
-        message = re.escape(f"ledger{part}.tsv, line {index + 1}: {what} 'x' is not an integer")
-        with pytest.raises(ValueError, match=message):
-            read_ledger(tmp_path)
+        _expect_bad_integer(tmp_path, part, kind, column, what, "x")
+
+    @pytest.mark.parametrize("cell", ["-1", "+1", pytest.param(" 1_0 ", id="space-1_0-space"),
+                                      "1_0", "01", pytest.param("7 ", id="7-space"), "\u0663"])
+    @_INTEGER_CELLS
+    def test_read_takes_only_integers_as_write_ledger_writes_them(
+        self, tmp_path, part, kind, column, what, cell
+    ):
+        _expect_bad_integer(tmp_path, part, kind, column, what, cell)
 
     @pytest.mark.parametrize(
         "part, what", [("", "DOI"), (".sources", "journal"), (".targets", "cited journal")]
